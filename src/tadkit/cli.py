@@ -4,8 +4,11 @@ Everything here is plumbing around the library modules.  Three conventions
 keep runs reproducible and diff-friendly:
 
 - Configuration is a single flat JSON document; command-line flags override
-  config keys, which override defaults.  The merged configuration is echoed
-  into the report, so any report can be re-run from its own meta record.
+  config keys, which override defaults.  Each task's keys, their types and
+  defaults come from :data:`TASK_PARAMS`, which binds most keys to fields of
+  the library's config dataclasses.  The merged, type-checked configuration
+  is echoed into the report, so any report can be re-run from its own meta
+  record.
 - Timestamps are serialized as integer epoch seconds.
 - Reports are ``report.jsonl`` (one JSON object per line, keys sorted) plus
   ``summary.csv``.  Wall-clock numbers live only under the keys named in
@@ -17,13 +20,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import platform
-import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, get_args, get_type_hints
 
 import click
 import numpy as np
@@ -53,6 +57,7 @@ from .thresholds import Thresholder, ThresholdSpec, apply_batch
 
 __all__ = [
     "TASKS",
+    "TASK_PARAMS",
     "TIMING_FIELDS",
     "ExperimentConfig",
     "RunReport",
@@ -67,17 +72,6 @@ __all__ = [
     "strip_timings",
     "main",
 ]
-
-TASKS = (
-    "datagen",
-    "resample",
-    "detect",
-    "evaluate",
-    "hil",
-    "bench-period",
-    "conditional",
-    "cohort",
-)
 
 #: Keys whose values are wall-clock measurements.  Everything else in a
 #: report is a pure function of the echoed config.
@@ -320,7 +314,6 @@ class ExperimentConfig:
     task: str
     seed: int = 0
     out: str = "."
-    threads: int = 1
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -328,12 +321,12 @@ class ExperimentConfig:
             raise SpecError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise SpecError(f"seed must be an integer, got {self.seed!r}")
-        if self.threads < 1:
-            raise SpecError("threads must be >= 1")
+        if self.seed < 0:
+            raise SpecError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "params", dict(self.params))
 
     def echo(self) -> dict[str, Any]:
-        doc = {"task": self.task, "seed": self.seed, "out": self.out, "threads": self.threads}
+        doc = {"task": self.task, "seed": self.seed, "out": self.out}
         doc.update(self.params)
         return doc
 
@@ -429,35 +422,6 @@ def _child_seed(base: int, index: int, stream: int) -> int:
     return int(np.random.SeedSequence([base, index, stream]).generate_state(1)[0])
 
 
-def _detector_config(p: Mapping[str, Any]) -> DetectorConfig:
-    window = p["window"]
-    if isinstance(window, str) and window != "auto":
-        window = int(window)
-    return DetectorConfig(
-        method=p["method"],
-        window=window,
-        alpha=p["alpha"],
-        n_clusters=p["n_clusters"],
-    )
-
-
-def _threshold_spec(p: Mapping[str, Any], seed: int) -> ThresholdSpec:
-    return ThresholdSpec(
-        kind=p["threshold_kind"],
-        value=p["threshold_value"],
-        percentile=p["percentile"],
-        k=p["k"],
-        up=p["up"],
-        down=p["down"],
-        horizon=p["horizon"],
-        seed=seed,
-    )
-
-
-def _loss_spec(p: Mapping[str, Any]) -> LossSpec:
-    return LossSpec(kind=p["loss_kind"], fn_cost=p["fn_cost"], fp_cost=p["fp_cost"])
-
-
 def _load_regular(path) -> tuple[TimeSeries, LabelSequence | None]:
     series, labels = load_labeled_csv(path)
     if not isinstance(series, TimeSeries):
@@ -502,26 +466,17 @@ def _resolve_labels(p: Mapping[str, Any], series: TimeSeries, inline: LabelSeque
 
 
 def _task_datagen(config: ExperimentConfig, out_dir: Path) -> list[dict]:
+    """Write seeded synthetic periodic series as CSV files."""
     p = config.params
-    generator = PeriodicGeneratorConfig(
-        seed=config.seed,
-        start=p["start"],
-        interval=p["interval"],
-        fixed_length=p["length"],
-        fixed_period=p["period"],
-    )
+    generator = _build(PeriodicGeneratorConfig, p, seed=config.seed)
+    injection = _build(InjectionConfig, p)
     records = []
     for index in range(p["n_series"]):
         drawn = generate_periodic(generator, index)
         series, labels = drawn.series, drawn.labels
-        if p["inject_rate"] > 0.0:
+        if injection.rate > 0.0:
             injected = inject_point_anomalies(
-                series,
-                InjectionConfig(
-                    rate=p["inject_rate"],
-                    kind=p["inject_kind"],
-                    seed=_child_seed(config.seed, index, 0xEC),
-                ),
+                series, replace(injection, seed=_child_seed(config.seed, index, 0xEC))
             )
             series, labels = injected.series, injected.labels
         name = f"series_{index:04d}.csv"
@@ -541,22 +496,15 @@ def _task_datagen(config: ExperimentConfig, out_dir: Path) -> list[dict]:
 
 
 def _task_resample(config: ExperimentConfig, out_dir: Path) -> list[dict]:
+    """Aggregate events onto a regular grid."""
     p = config.params
-    if p["input"] is None:
-        raise InputError("resample needs --input FILE")
     loaded = load_series_csv(p["input"])
     if isinstance(loaded, TimeSeries):
         keep = ~np.isnan(loaded.values)  # gaps are not events
         events = EventStream(_timestamps(loaded)[keep], loaded.values[keep])
     else:
         events = loaded
-    spec = ResampleSpec(
-        interval=p["interval"],
-        aggregation=p["agg"],
-        empty_bin_policy=p["policy"],
-        bin_anchor=p["anchor"],
-        max_carry_bins=p["max_carry"],
-    )
+    spec = _build(ResampleSpec, p)
     series = resample(events, spec)
     write_series_csv(out_dir / "resampled.csv", series)
     missing = int(np.isnan(series.values).sum())
@@ -576,12 +524,11 @@ def _task_resample(config: ExperimentConfig, out_dir: Path) -> list[dict]:
 
 
 def _task_detect(config: ExperimentConfig, out_dir: Path) -> list[dict]:
+    """Score a series and emit alert decisions."""
     p = config.params
-    if p["input"] is None:
-        raise InputError("detect needs --input FILE")
     series, _ = _load_regular(p["input"])
-    detector = _detector_config(p)
-    spec = _threshold_spec(p, config.seed)
+    detector = _build(DetectorConfig, p)
+    spec = _build(ThresholdSpec, p, seed=config.seed)
     if p["protocol"] == "streaming":
         scores = run_streaming(detector, series)
         thresholder = Thresholder(spec)
@@ -621,14 +568,13 @@ def _eval_record(report, protocol: str, input_path: str) -> dict:
 
 
 def _task_evaluate(config: ExperimentConfig, out_dir: Path) -> list[dict]:
+    """Score a labeled series and report precision/recall/regret."""
     p = config.params
-    if p["input"] is None:
-        raise InputError("evaluate needs --input FILE")
     series, inline = _load_regular(p["input"])
     labels = _resolve_labels(p, series, inline)
-    detector = _detector_config(p)
-    spec = _threshold_spec(p, config.seed)
-    loss = _loss_spec(p)
+    detector = _build(DetectorConfig, p)
+    spec = _build(ThresholdSpec, p, seed=config.seed)
+    loss = _build(LossSpec, p)
     if p["protocol"] == "streaming":
         report = evaluate_streaming(detector, spec, series, labels, loss, p["max_delay"])
     else:
@@ -637,13 +583,14 @@ def _task_evaluate(config: ExperimentConfig, out_dir: Path) -> list[dict]:
 
 
 def _task_hil(config: ExperimentConfig, out_dir: Path) -> list[dict]:
+    """Run the interactive loop: labels revealed only for flagged points."""
     p = config.params
-    if p["input"] is None:
-        raise InputError("hil needs --input FILE")
     series, inline = _load_regular(p["input"])
     labels = _resolve_labels(p, series, inline)
-    policy = DetectorThresholdPolicy(_detector_config(p), _threshold_spec(p, config.seed))
-    report, log = run_hil(policy, series, labels, _loss_spec(p), p["max_delay"])
+    policy = DetectorThresholdPolicy(
+        _build(DetectorConfig, p), _build(ThresholdSpec, p, seed=config.seed)
+    )
+    report, log = run_hil(policy, series, labels, _build(LossSpec, p), p["max_delay"])
     record = _eval_record(report, "hil", p["input"])
     record["record"] = "hil"
     records = [record]
@@ -654,13 +601,14 @@ def _task_hil(config: ExperimentConfig, out_dir: Path) -> list[dict]:
 
 
 def _task_bench_period(config: ExperimentConfig, out_dir: Path) -> list[dict]:
+    """Accuracy/runtime table for the period-detection methods."""
     p = config.params
     methods = tuple(m.strip() for m in p["methods"].split(",") if m.strip())
     result = run_period_benchmark(
         n_series=p["n_series"],
         config=PeriodicGeneratorConfig(seed=config.seed),
         methods=methods,
-        threads=config.threads,
+        threads=p["threads"],
         random_permutations=p["permutations"],
     )
     return [
@@ -678,25 +626,14 @@ def _task_bench_period(config: ExperimentConfig, out_dir: Path) -> list[dict]:
 
 
 def _task_conditional(config: ExperimentConfig, out_dir: Path) -> list[dict]:
+    """Covariate-conditioned vs joint multivariate anomaly scores."""
     p = config.params
-    if p["input"] is None:
-        raise InputError("conditional needs --input FILE")
     data = load_covariates_csv(p["input"], p["target"])
     outputs: dict[str, Any] = {}
     if p["mode"] in ("conditional", "both"):
-        outputs["conditional"] = run_conditional(
-            ConditionalConfig(
-                ar_order=p["ar_order"],
-                covariate_lags=p["cov_lags"],
-                forgetting=p["forgetting"],
-                ridge=p["ridge"],
-            ),
-            data,
-        )
+        outputs["conditional"] = run_conditional(_build(ConditionalConfig, p), data)
     if p["mode"] in ("joint", "both"):
-        outputs["joint"] = run_joint(
-            JointConfig(forgetting=p["forgetting"], ridge=p["ridge"]), data
-        )
+        outputs["joint"] = run_joint(_build(JointConfig, p), data)
     stamps = _timestamps(data.target)
     with open(out_dir / "scores.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -734,9 +671,10 @@ def _rule_record(kind: str, rank: int, rule) -> dict:
 
 
 def _task_cohort(config: ExperimentConfig, out_dir: Path) -> list[dict]:
+    """Mine attribute rules that explain which series are anomalous."""
     p = config.params
-    if p["matrix"] is None or p["attributes"] is None:
-        raise InputError("cohort needs --matrix FILE and --attributes FILE")
+    if p["top"] is not None and p["top"] < 1:
+        raise SpecError(f"top must be >= 1, got {p['top']}")
     matrix_ids, matrix = load_matrix_csv(p["matrix"])
     attr_ids, attributes = load_attributes_csv(p["attributes"])
     if matrix_ids != attr_ids:
@@ -744,12 +682,7 @@ def _task_cohort(config: ExperimentConfig, out_dir: Path) -> list[dict]:
             "matrix and attribute files disagree on series ids "
             f"({len(matrix_ids)} vs {len(attr_ids)} rows)"
         )
-    miner = CohortMinerConfig(
-        max_depth=p["max_depth"],
-        min_score=p["min_score"],
-        quality=p["quality"],
-        min_recall=p["min_recall"],
-    )
+    miner = _build(CohortMinerConfig, p)
     if p["mode"] == "rules":
         anomalous = matrix.any(axis=1).astype(np.int8)  # flagged anywhere in the window
         rules = mine_rules(anomalous, attributes, miner)
@@ -775,93 +708,155 @@ _TASK_FUNCS: dict[str, Callable[[ExperimentConfig, Path], list[dict]]] = {
     "conditional": _task_conditional,
     "cohort": _task_cohort,
 }
+TASKS = tuple(_TASK_FUNCS)
 
 
 # ---------------------------------------------------------------------------
-# Click surface
+# Config schema: every key a task accepts, with its type and default
 
-_COMMON_DEFAULTS = {"seed": 0, "out": ".", "threads": 1}
 
-_DETECT_DEFAULTS = {
-    "input": None,
-    "method": "spectral_residual",
-    "window": 128,
-    "alpha": 0.1,
-    "n_clusters": 4,
-    "protocol": "streaming",
-    "threshold_kind": "trailing_percentile",
-    "threshold_value": 1.0,
-    "percentile": 0.999,
-    "k": 3.0,
-    "up": 1.1,
-    "down": 0.98,
-    "horizon": None,
+@dataclass(frozen=True)
+class Param:
+    """One config key of a task; its command-line flag is ``--key-with-dashes``."""
+
+    key: str
+    type: Any
+    default: Any  # ``MISSING``: the key must be given
+    choices: tuple[str, ...] | None = None
+    help: str = ""
+
+
+#: Config key -> field, per dataclass a task builds from its parameters.
+_BINDINGS: dict[type, dict[str, str]] = {
+    ExperimentConfig: {"seed": "seed", "out": "out"},
+    DetectorConfig: {"method": "method", "window": "window", "alpha": "alpha", "n_clusters": "n_clusters"},
+    ThresholdSpec: {"threshold_kind": "kind", "threshold_value": "value", "percentile": "percentile",
+                    "k": "k", "up": "up", "down": "down", "horizon": "horizon"},
+    LossSpec: {"loss_kind": "kind", "fn_cost": "fn_cost", "fp_cost": "fp_cost"},
+    PeriodicGeneratorConfig: {"length": "fixed_length", "period": "fixed_period", "start": "start",
+                              "interval": "interval"},
+    InjectionConfig: {"inject_rate": "rate", "inject_kind": "kind"},
+    ResampleSpec: {"interval": "interval", "agg": "aggregation", "policy": "empty_bin_policy",
+                   "anchor": "bin_anchor", "max_carry": "max_carry_bins"},
+    ConditionalConfig: {"ar_order": "ar_order", "cov_lags": "covariate_lags", "forgetting": "forgetting",
+                        "ridge": "ridge"},
+    JointConfig: {"forgetting": "forgetting", "ridge": "ridge"},
+    CohortMinerConfig: {"max_depth": "max_depth", "min_score": "min_score", "quality": "quality",
+                        "min_recall": "min_recall"},
 }
 
-_EVAL_EXTRAS = {
-    "labels": None,
-    "loss_kind": "zero_one",
-    "fn_cost": 1.0,
-    "fp_cost": 1.0,
-    "max_delay": 0,
+
+def _bound(cls: type, **defaults: Any) -> tuple[Param, ...]:
+    """The keys bound to ``cls``, typed and defaulted by its fields."""
+    hints = get_type_hints(cls)
+    declared = {f.name: f.default for f in fields(cls)}
+    return tuple(
+        Param(key, hints[name], defaults.get(key, declared[name]), help=f"{cls.__name__}.{name}")
+        for key, name in _BINDINGS[cls].items()
+    )
+
+
+def _build(cls: type, params: Mapping[str, Any], **extra: Any):
+    """Construct ``cls`` from the config keys bound to its fields."""
+    return cls(**{name: params[key] for key, name in _BINDINGS[cls].items()}, **extra)
+
+
+def _input(help: str) -> Param:
+    return Param("input", str, MISSING, help=help)
+
+
+_DETECT = (
+    _input("Input series CSV."),
+    *_bound(DetectorConfig),
+    Param("protocol", str, "streaming", ("streaming", "batch")),
+    *_bound(ThresholdSpec),
+)
+_LABELED = (
+    *_DETECT,
+    Param("labels", str | None, None, help="Separate timestamp,label CSV."),
+    *_bound(LossSpec),
+    Param("max_delay", int, 0, help="Alerts this many points late still count."),
+)
+
+#: Per task, every config key (and so every flag) it accepts.
+TASK_PARAMS: dict[str, dict[str, Param]] = {
+    task: {param.key: param for param in (*_bound(ExperimentConfig), *params)}
+    for task, params in {
+        "datagen": (
+            Param("n_series", int, 10, help="Series to write."),
+            *_bound(PeriodicGeneratorConfig),
+            *_bound(InjectionConfig),
+        ),
+        "resample": (
+            _input("Input series or event CSV."),
+            *_bound(ResampleSpec, interval=3600),
+        ),
+        "detect": _DETECT,
+        "evaluate": _LABELED,
+        "hil": _LABELED,
+        "bench-period": (
+            Param("n_series", int, 1000, help="Generator draws to score."),
+            Param("methods", str, ",".join(DEFAULT_METHODS), help="Comma-separated period methods."),
+            Param("permutations", int, 100, help="Shuffles for the random baseline."),
+            Param("threads", int, 1, help="Worker processes."),
+        ),
+        "conditional": (
+            _input("Multi-column timestamp,<col>,... CSV."),
+            Param("target", str | None, None, help="Column to score (default: first)."),
+            Param("mode", str, "both", ("conditional", "joint", "both")),
+            *_bound(ConditionalConfig),
+        ),
+        "cohort": (
+            Param("matrix", str, MISSING, help="series_id,<t>,... 0/1 CSV."),
+            Param("attributes", str, MISSING, help="series_id,<attr>,... CSV."),
+            Param("mode", str, "rules", ("rules", "timeline")),
+            *_bound(CohortMinerConfig),
+            Param("min_support", int, 1, help="Anomalous series a timestep needs to be mined."),
+            Param("top", int | None, None, help="Keep only the best N rules."),
+        ),
+    }.items()
 }
 
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "datagen": {
-        **_COMMON_DEFAULTS,
-        "n_series": 10,
-        "length": None,
-        "period": None,
-        "start": 0,
-        "interval": 60,
-        "inject_rate": 0.0,
-        "inject_kind": "offset",
-    },
-    "resample": {
-        **_COMMON_DEFAULTS,
-        "input": None,
-        "interval": 3600,
-        "agg": "mean",
-        "policy": "missing",
-        "anchor": 0,
-        "max_carry": 5,
-    },
-    "detect": {**_COMMON_DEFAULTS, **_DETECT_DEFAULTS},
-    "evaluate": {**_COMMON_DEFAULTS, **_DETECT_DEFAULTS, **_EVAL_EXTRAS},
-    "hil": {**_COMMON_DEFAULTS, **_DETECT_DEFAULTS, **_EVAL_EXTRAS},
-    "bench-period": {
-        **_COMMON_DEFAULTS,
-        "n_series": 1000,
-        "methods": ",".join(DEFAULT_METHODS),
-        "permutations": 100,
-    },
-    "conditional": {
-        **_COMMON_DEFAULTS,
-        "input": None,
-        "target": None,
-        "mode": "both",
-        "ar_order": 2,
-        "cov_lags": 0,
-        "forgetting": 0.999,
-        "ridge": 1e-3,
-    },
-    "cohort": {
-        **_COMMON_DEFAULTS,
-        "matrix": None,
-        "attributes": None,
-        "mode": "rules",
-        "max_depth": 2,
-        "min_score": 1e-6,
-        "quality": "f1",
-        "min_recall": 0.5,
-        "min_support": 1,
-        "top": None,
-    },
-}
+
+def _kinds(param: Param) -> tuple[type, ...]:
+    """The types ``param`` admits: ``int | None`` gives ``(int, NoneType)``."""
+    return get_args(param.type) or (param.type,)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _coerce(param: Param, value: Any, from_flag: bool) -> Any:
+    """``value`` as ``param.type``.
+
+    Flag text is parsed; a JSON value must already have the type, except that
+    an integer is accepted where a float is declared.
+    """
+    kinds = _kinds(param)
+    if value is None and type(None) in kinds:
+        return None
+    for kind in kinds:
+        if kind is type(None):
+            continue
+        if not from_flag and not (type(value) is kind or (kind is float and type(value) is int)):
+            continue
+        try:
+            coerced = kind(value)
+        except (ValueError, OverflowError):
+            continue
+        if kind is float and not math.isfinite(coerced):
+            raise SpecError(f"{param.key} must be finite, got {value!r}")
+        if param.choices is not None and coerced not in param.choices:
+            raise SpecError(f"{param.key} must be one of {list(param.choices)}, got {value!r}")
+        return coerced
+    expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+    raise SpecError(f"{param.key} must be {expected}, got {value!r}")
 
 
 def _merge_params(task: str, config_path: str | None, overrides: Mapping[str, Any]) -> dict:
-    merged = dict(_DEFAULTS[task])
+    schema = TASK_PARAMS[task]
+    merged = {key: param.default for key, param in schema.items()}
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
@@ -879,9 +874,18 @@ def _merge_params(task: str, config_path: str | None, overrides: Mapping[str, An
         unknown = sorted(set(doc) - set(merged))
         if unknown:
             raise SpecError(f"unknown config keys for {task}: {unknown}")
-        merged.update(doc)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+        merged.update({key: _coerce(schema[key], value, False) for key, value in doc.items()})
+    merged.update(
+        {key: _coerce(schema[key], text, True) for key, text in overrides.items() if text is not None}
+    )
+    missing = [_flag(key) for key, value in merged.items() if value is MISSING]
+    if missing:
+        raise InputError(f"{task} needs {' and '.join(missing)}")
     return merged
+
+
+# ---------------------------------------------------------------------------
+# Click surface
 
 
 def _emit_error(task: str, err: Exception) -> None:
@@ -902,18 +906,14 @@ def _emit_error(task: str, err: Exception) -> None:
     raise SystemExit(2)
 
 
-def _execute(task: str, config_path: str | None, overrides: dict) -> None:
+def _execute(task: str, config: str | None, **flags: str | None) -> None:
     try:
-        params = _merge_params(task, config_path, overrides)
-        config = ExperimentConfig(
-            task=task,
-            seed=params.pop("seed"),
-            out=params.pop("out"),
-            threads=params.pop("threads"),
-            params=params,
+        params = _merge_params(task, config, flags)
+        experiment = ExperimentConfig(
+            task=task, seed=params.pop("seed"), out=params.pop("out"), params=params
         )
-        report = run_experiment(config)
-        jsonl, summary = write_report(report, config.out)
+        report = run_experiment(experiment)
+        jsonl, summary = write_report(report, experiment.out)
     except (TadError, OSError) as err:
         _emit_error(task, err)
         return
@@ -926,38 +926,13 @@ def _execute(task: str, config_path: str | None, overrides: dict) -> None:
             )
 
 
-def _common_options(fn):
-    fn = click.option("--config", type=click.Path(), default=None, help="JSON config; flags override it.")(fn)
-    fn = click.option("--seed", type=int, default=None, help="Base RNG seed.")(fn)
-    fn = click.option("--out", type=click.Path(), default=None, help="Output directory.")(fn)
-    fn = click.option("--threads", type=int, default=None, help="Worker processes.")(fn)
-    return fn
-
-
-def _detector_options(fn):
-    fn = click.option("--input", type=click.Path(), default=None, help="Input series CSV.")(fn)
-    fn = click.option("--method", type=click.Choice(["spectral_residual", "ewma_residual", "left_discord", "kmeans_window"]), default=None)(fn)
-    fn = click.option("--window", default=None, help="Window length, or 'auto'.")(fn)
-    fn = click.option("--alpha", type=float, default=None, help="EWMA smoothing factor.")(fn)
-    fn = click.option("--n-clusters", type=int, default=None)(fn)
-    fn = click.option("--protocol", type=click.Choice(["streaming", "batch"]), default=None)(fn)
-    fn = click.option("--threshold-kind", type=click.Choice(["fixed_value", "trailing_percentile", "k_sigma", "feedback_adaptive"]), default=None)(fn)
-    fn = click.option("--threshold-value", type=float, default=None)(fn)
-    fn = click.option("--percentile", type=float, default=None)(fn)
-    fn = click.option("--k", type=float, default=None)(fn)
-    fn = click.option("--up", type=float, default=None)(fn)
-    fn = click.option("--down", type=float, default=None)(fn)
-    fn = click.option("--horizon", type=int, default=None)(fn)
-    return fn
-
-
-def _label_options(fn):
-    fn = click.option("--labels", type=click.Path(), default=None, help="Separate timestamp,label CSV.")(fn)
-    fn = click.option("--loss-kind", type=click.Choice(["zero_one", "weighted"]), default=None)(fn)
-    fn = click.option("--fn-cost", type=float, default=None)(fn)
-    fn = click.option("--fp-cost", type=float, default=None)(fn)
-    fn = click.option("--max-delay", type=int, default=None)(fn)
-    return fn
+def _option(param: Param) -> click.Option:
+    if param.choices:
+        metavar = "[" + "|".join(param.choices) + "]"
+    else:  # a flag cannot say null, so only the other kinds are listed
+        metavar = "|".join(kind.__name__ for kind in _kinds(param) if kind is not type(None)).upper()
+    default = "required" if param.default is MISSING else f"default: {param.default}"
+    return click.Option([_flag(param.key)], metavar=metavar, help=f"{param.help} [{default}]")
 
 
 @click.group()
@@ -966,97 +941,18 @@ def main() -> None:
     """Streaming anomaly detection toolkit."""
 
 
-@main.command("datagen")
-@_common_options
-@click.option("--n-series", type=int, default=None)
-@click.option("--length", type=int, default=None, help="Pin every series to this length.")
-@click.option("--period", type=int, default=None, help="Pin every series to this period.")
-@click.option("--start", type=int, default=None)
-@click.option("--interval", type=int, default=None)
-@click.option("--inject-rate", type=float, default=None, help="Point-anomaly rate.")
-@click.option("--inject-kind", type=click.Choice(["offset", "uniform", "constant"]), default=None)
-def _cmd_datagen(config, **flags):
-    """Write seeded synthetic periodic series as CSV files."""
-    _execute("datagen", config, flags)
-
-
-@main.command("resample")
-@_common_options
-@click.option("--input", type=click.Path(), default=None, help="Input series or event CSV.")
-@click.option("--interval", type=int, default=None, help="Bin width in seconds.")
-@click.option("--agg", type=click.Choice(["mean", "sum", "count", "min", "max", "last"]), default=None)
-@click.option("--policy", type=click.Choice(["missing", "zero", "carry_forward"]), default=None)
-@click.option("--anchor", type=int, default=None, help="Grid anchor (epoch seconds).")
-@click.option("--max-carry", type=int, default=None)
-def _cmd_resample(config, **flags):
-    """Aggregate events onto a regular grid."""
-    _execute("resample", config, flags)
-
-
-@main.command("detect")
-@_common_options
-@_detector_options
-def _cmd_detect(config, **flags):
-    """Score a series and emit alert decisions."""
-    _execute("detect", config, flags)
-
-
-@main.command("evaluate")
-@_common_options
-@_detector_options
-@_label_options
-def _cmd_evaluate(config, **flags):
-    """Score a labeled series and report precision/recall/regret."""
-    _execute("evaluate", config, flags)
-
-
-@main.command("hil")
-@_common_options
-@_detector_options
-@_label_options
-def _cmd_hil(config, **flags):
-    """Run the interactive loop: labels revealed only for flagged points."""
-    _execute("hil", config, flags)
-
-
-@main.command("bench-period")
-@_common_options
-@click.option("--n-series", type=int, default=None)
-@click.option("--methods", default=None, help="Comma-separated subset of: " + ",".join(DEFAULT_METHODS))
-@click.option("--permutations", type=int, default=None, help="Shuffles for the random baseline.")
-def _cmd_bench_period(config, **flags):
-    """Accuracy/runtime table for the period-detection methods."""
-    _execute("bench-period", config, flags)
-
-
-@main.command("conditional")
-@_common_options
-@click.option("--input", type=click.Path(), default=None, help="Multi-column timestamp,<col>,... CSV.")
-@click.option("--target", default=None, help="Column to score (default: first).")
-@click.option("--mode", type=click.Choice(["conditional", "joint", "both"]), default=None)
-@click.option("--ar-order", type=int, default=None)
-@click.option("--cov-lags", type=int, default=None)
-@click.option("--forgetting", type=float, default=None)
-@click.option("--ridge", type=float, default=None)
-def _cmd_conditional(config, **flags):
-    """Covariate-conditioned vs joint multivariate anomaly scores."""
-    _execute("conditional", config, flags)
-
-
-@main.command("cohort")
-@_common_options
-@click.option("--matrix", type=click.Path(), default=None, help="series_id,<t>,... 0/1 CSV.")
-@click.option("--attributes", type=click.Path(), default=None, help="series_id,<attr>,... CSV.")
-@click.option("--mode", type=click.Choice(["rules", "timeline"]), default=None)
-@click.option("--max-depth", type=int, default=None)
-@click.option("--min-score", type=float, default=None)
-@click.option("--quality", type=click.Choice(["f1", "precision_at_min_recall"]), default=None)
-@click.option("--min-recall", type=float, default=None)
-@click.option("--min-support", type=int, default=None)
-@click.option("--top", type=int, default=None, help="Keep only the best N rules.")
-def _cmd_cohort(config, **flags):
-    """Mine attribute rules that explain which series are anomalous."""
-    _execute("cohort", config, flags)
+for _task in TASKS:
+    main.add_command(
+        click.Command(
+            _task,
+            callback=partial(_execute, _task),
+            params=[
+                click.Option(["--config"], type=click.Path(), help="JSON config; flags override it."),
+                *(_option(param) for param in TASK_PARAMS[_task].values()),
+            ],
+            help=_TASK_FUNCS[_task].__doc__,
+        )
+    )
 
 
 if __name__ == "__main__":

@@ -201,11 +201,6 @@ class JointScorer:
         self._seen += 1
 
 
-def _leading_nan(scores: np.ndarray) -> int:
-    finite = np.nonzero(~np.isnan(scores))[0]
-    return int(finite[0]) if finite.size else len(scores)
-
-
 def run_conditional(config: ConditionalConfig, data: CovariateSet) -> ScoreSequence:
     """Conditional scores for the target of ``data``, one per point."""
     names = data.names
@@ -223,7 +218,7 @@ def run_conditional(config: ConditionalConfig, data: CovariateSet) -> ScoreSeque
     scores = np.empty(len(target))
     for i, x in enumerate(target):
         scores[i] = scorer.update(float(x), cov_matrix[i])
-    return ScoreSequence(scores=scores, warmup=_leading_nan(scores))
+    return ScoreSequence.from_scores(scores)
 
 
 def run_joint(config: JointConfig, data: CovariateSet) -> ScoreSequence:
@@ -237,4 +232,4 @@ def run_joint(config: JointConfig, data: CovariateSet) -> ScoreSequence:
     scores = np.empty(len(matrix))
     for i in range(len(matrix)):
         scores[i] = scorer.update(matrix[i])
-    return ScoreSequence(scores=scores, warmup=_leading_nan(scores))
+    return ScoreSequence.from_scores(scores)

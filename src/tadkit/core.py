@@ -235,6 +235,12 @@ class ScoreSequence:
 
     __hash__ = None  # type: ignore[assignment]
 
+    @classmethod
+    def from_scores(cls, scores: np.ndarray) -> "ScoreSequence":
+        """Wrap detector output whose warmup is its leading run of NaN sentinels."""
+        finite = np.nonzero(~np.isnan(scores))[0]
+        return cls(scores=scores, warmup=int(finite[0]) if finite.size else len(scores))
+
     @property
     def valid(self) -> np.ndarray:
         """Scores past the warmup."""

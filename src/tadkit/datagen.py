@@ -153,7 +153,7 @@ class InjectionConfig:
         ``"constant"`` — replaced value is ``constant``.
     """
 
-    rate: float
+    rate: float = 0.0
     seed: int = 0
     kind: str = "offset"
     offset_sigmas: float = 5.0

@@ -26,7 +26,7 @@ the batch evaluation protocol.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, isfinite
 
 import numpy as np
@@ -397,17 +397,7 @@ class _AutoWindowDetector(StreamingDetector):
         except (SpecError, DegenerateScaleError):
             period = None
         window = period if period is not None else self.config.auto_fallback
-        resolved = DetectorConfig(
-            method=self.config.method,
-            window=int(window),
-            alpha=self.config.alpha,
-            scale_floor=self.config.scale_floor,
-            sr_ma_width=self.config.sr_ma_width,
-            sr_pad_points=self.config.sr_pad_points,
-            n_clusters=self.config.n_clusters,
-            refit_cadence=self.config.refit_cadence,
-        )
-        self._inner = make_detector(resolved)
+        self._inner = make_detector(replace(self.config, window=int(window)))
         last = MISSING
         for v in self._pending:
             last = self._inner.update(v)
@@ -438,12 +428,7 @@ def run_streaming(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
     scores = np.empty(len(values), dtype=np.float64)
     for i, x in enumerate(values):
         scores[i] = det.update(float(x))
-    return ScoreSequence(scores=scores, warmup=_leading_nan(scores))
-
-
-def _leading_nan(scores: np.ndarray) -> int:
-    finite = np.nonzero(~np.isnan(scores))[0]
-    return int(finite[0]) if finite.size else len(scores)
+    return ScoreSequence.from_scores(scores)
 
 
 def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
@@ -504,4 +489,4 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
             centers = _lloyd(windows.copy(), _maximin_centers(windows, k))
             d2 = ((windows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             scores[w - 1 :] = np.sqrt(d2.min(axis=1))
-    return ScoreSequence(scores=scores, warmup=_leading_nan(scores))
+    return ScoreSequence.from_scores(scores)

@@ -439,6 +439,10 @@ def run_period_benchmark(
     """
     if n_series < 1:
         raise SpecError("n_series must be >= 1")
+    if threads < 1:
+        raise SpecError(f"threads must be >= 1, got {threads}")
+    if random_permutations < 1:
+        raise SpecError(f"random_permutations must be >= 1, got {random_permutations}")
     config = config or PeriodicGeneratorConfig()
     for m in methods:
         if m != "random" and m not in _DETECTOR_FUNCS and m != "autoperiod":

@@ -59,6 +59,9 @@ class ThresholdSpec:
             raise SpecError(f"unknown threshold kind {self.kind!r}")
         if not np.isfinite(self.value):
             raise SpecError("value must be finite")
+        if self.kind == "feedback_adaptive" and self.value <= 0.0:
+            # feedback scales the threshold, so a start <= 0 would move the wrong way
+            raise SpecError(f"feedback_adaptive start value must be > 0, got {self.value}")
         if not 0.0 < self.percentile < 1.0:
             raise SpecError(f"percentile must be in (0, 1), got {self.percentile}")
         if self.k <= 0.0:

@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from tadkit.cli import (
+    TASK_PARAMS,
     ExperimentConfig,
     load_attributes_csv,
     load_covariates_csv,
@@ -28,6 +32,8 @@ from tadkit.core import (
     SpecError,
     TimeSeries,
 )
+from tadkit.detectors import METHODS
+from tadkit.thresholds import KINDS
 
 
 def _write(path, text):
@@ -221,13 +227,19 @@ def test_strip_timings_removes_nested_wall_clock_keys():
     assert strip_timings(record) == {"accuracy": 0.7, "nested": {"kept": 1}}
 
 
-def test_experiment_config_validation():
+def test_experiment_config_validation(runner, tmp_path):
     with pytest.raises(SpecError):
         ExperimentConfig(task="explode")
     with pytest.raises(SpecError):
         ExperimentConfig(task="detect", seed="zero")
     with pytest.raises(SpecError):
-        ExperimentConfig(task="detect", threads=0)
+        ExperimentConfig(task="detect", seed=-1)
+    result = runner.invoke(
+        main, ["bench-period", "--n-series", "2", "--threads", "0", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "SpecError"
     echo = ExperimentConfig(task="detect", seed=3, params={"window": 8}).echo()
     assert echo["task"] == "detect" and echo["window"] == 8
 
@@ -469,3 +481,130 @@ def test_reports_are_deterministic_modulo_timings(runner, tmp_path):
     stripped_b = [strip_timings({k: v for k, v in r.items() if k != "config"}) for r in b]
     assert stripped_a == stripped_b
     assert (outs[0] / "scores.csv").read_bytes() == (outs[1] / "scores.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "task, flags, doc",
+    [
+        ("detect", ["--window", "abc"], None),
+        ("detect", ["--k", "nan"], None),
+        ("detect", [], {"k": float("nan")}),
+        ("detect", [], {"alpha": "x"}),
+        ("detect", [], {"n_clusters": 2.5}),
+        ("datagen", [], {"n_series": "3"}),
+        ("datagen", ["--seed", "-1"], None),
+        ("hil", ["--threshold-kind", "feedback_adaptive", "--threshold-value", "-0.5"], None),
+        ("bench-period", [], {"methods": 5}),
+        ("bench-period", ["--n-series", "2", "--permutations", "-1"], None),
+        ("cohort", [], {"top": "2"}),
+        ("cohort", ["--top", "-1"], None),
+    ],
+)
+def test_malformed_values_give_one_json_error_line(runner, tmp_path, task, flags, doc):
+    args = [task, *flags, "--out", str(tmp_path / "out")]
+    if task in ("detect", "hil"):
+        args += ["--input", str(_make_input(tmp_path))]
+    if task == "cohort":
+        matrix = _write(tmp_path / "matrix.csv", "series_id,t0,t1\ns0,0,1\ns1,0,0\n")
+        attrs = _write(tmp_path / "attr.csv", "series_id,device\ns0,a\ns1,b\n")
+        args += ["--matrix", str(matrix), "--attributes", str(attrs)]
+    if doc is not None:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        args += ["--config", str(config)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, repr(result.exception)
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "SpecError"
+
+
+@pytest.mark.parametrize(
+    "task, flags",
+    [
+        ("detect", ["--method", "ewma_residual", "--window", "16", "--threshold-kind", "k_sigma"]),
+        ("evaluate", ["--window", "32", "--protocol", "batch", "--max-delay", "2", "--k", "4"]),
+        ("hil", ["--method", "ewma_residual", "--threshold-kind", "feedback_adaptive",
+                 "--threshold-value", "4"]),
+        ("datagen", ["--n-series", "2", "--length", "300", "--inject-rate", "0.02", "--seed", "4"]),
+    ],
+)
+def test_any_report_replays_from_its_own_meta_record(runner, tmp_path, task, flags):
+    if task != "datagen":
+        flags = [*flags, "--input", str(_make_input(tmp_path))]
+    first, second = tmp_path / "first", tmp_path / "second"
+    result = runner.invoke(main, [task, *flags, "--out", str(first)])
+    assert result.exit_code == 0, result.output
+    meta, *records = _read_report(first)
+    echoed = {k: v for k, v in meta["config"].items() if k != "out"}
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps(echoed))
+
+    result = runner.invoke(main, [task, "--config", str(config), "--out", str(second)])
+    assert result.exit_code == 0, result.output
+    replay_meta, *replayed = _read_report(second)
+    assert {k: v for k, v in replay_meta["config"].items() if k != "out"} == echoed
+    assert [strip_timings(r) for r in replayed] == [strip_timings(r) for r in records]
+    for path in first.iterdir():
+        if path.name != "report.jsonl":
+            assert (second / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+# Values of the declared type.  Ranges reach a little past the valid ones, and
+# sizes stay small so each drawn run takes milliseconds.
+_RIGHT_TYPED = {
+    "seed": st.integers(-1, 50),
+    "out": st.just("overridden-by-the-flag"),
+    "method": st.sampled_from([*METHODS, "bogus"]),
+    "window": st.integers(1, 300) | st.just("auto"),
+    "alpha": st.floats(0.0, 1.2),
+    "n_clusters": st.integers(0, 6),
+    "protocol": st.sampled_from(["streaming", "batch", "bogus"]),
+    "threshold_kind": st.sampled_from([*KINDS, "bogus"]),
+    "threshold_value": st.floats(-1.0, 5.0),
+    "percentile": st.floats(0.0, 1.0),
+    "k": st.floats(-0.5, 5.0),
+    "up": st.floats(0.9, 3.0),
+    "down": st.floats(0.0, 1.2),
+    "horizon": st.none() | st.integers(0, 300),
+    "n_series": st.integers(0, 3),
+    "length": st.integers(40, 500),
+    "period": st.none() | st.integers(-1, 60),
+    "start": st.integers(-10, 10**9),
+    "interval": st.integers(-1, 3600),
+    "inject_rate": st.floats(-0.5, 1.5),
+    "inject_kind": st.sampled_from(["offset", "uniform", "constant", "bogus"]),
+}
+_WRONG_TYPED = st.sampled_from(["x", True, 2.5, None, [1], float("nan")])
+
+
+@pytest.fixture(scope="module")
+def drawn_input(tmp_path_factory):
+    return _make_input(tmp_path_factory.mktemp("drawn"))
+
+
+@pytest.mark.parametrize("task", ["detect", "datagen"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_config_document_runs_or_gives_one_json_error(drawn_input, task, data):
+    right = {**_RIGHT_TYPED, "input": st.just(str(drawn_input))}
+    keys = TASK_PARAMS[task]
+    assert set(keys) <= set(right)
+    doc = data.draw(
+        st.fixed_dictionaries(
+            {key: right[key] for key in keys if key == "input"},
+            optional={key: right[key] for key in keys if key != "input"},
+        )
+    )
+    wrong = data.draw(st.none() | st.sampled_from(sorted(keys)))
+    if wrong is not None:
+        doc[wrong] = data.draw(_WRONG_TYPED)
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / "cfg.json"
+        config.write_text(json.dumps(doc))
+        result = CliRunner().invoke(
+            main, [task, "--config", str(config), "--out", str(Path(scratch) / "out")]
+        )
+    if result.exit_code != 0:
+        assert result.exit_code == 2, repr(result.exception)
+        (line,) = result.stderr.splitlines()
+        assert set(json.loads(line)) == {"error", "task", "module", "message"}

@@ -25,6 +25,8 @@ from tadkit.thresholds import (
         dict(kind="feedback_adaptive", up=1.0),
         dict(kind="feedback_adaptive", down=0.0),
         dict(kind="feedback_adaptive", down=1.2),
+        dict(kind="feedback_adaptive", value=0.0),
+        dict(kind="feedback_adaptive", value=-0.5),
         dict(horizon=0),
         dict(reservoir_size=0),
     ],
