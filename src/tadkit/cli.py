@@ -468,6 +468,8 @@ def _resolve_labels(p: Mapping[str, Any], series: TimeSeries, inline: LabelSeque
 def _task_datagen(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     """Write seeded synthetic periodic series as CSV files."""
     p = config.params
+    if p["n_series"] < 1:
+        raise SpecError(f"n_series must be >= 1, got {p['n_series']}")
     generator = _build(PeriodicGeneratorConfig, p, seed=config.seed)
     injection = _build(InjectionConfig, p)
     records = []

@@ -101,6 +101,10 @@ class FeedbackLog:
     def entries(self) -> tuple[tuple[int, int], ...]:
         return tuple(self._entries)
 
+    def since(self, start: int) -> tuple[tuple[int, int], ...]:
+        """The entries from position ``start`` on, without copying the rest."""
+        return tuple(self._entries[start:])
+
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self._entries)
 
@@ -319,7 +323,7 @@ class DetectorThresholdPolicy:
         return self._detector.warmup
 
     def decide(self, prefix: np.ndarray, log: FeedbackLog) -> int:
-        for index, label in log.entries[self._consumed :]:
+        for index, label in log.since(self._consumed):
             self._thresholder.feedback(label)
             self._consumed += 1
         score = self._detector.update(float(prefix[-1]))

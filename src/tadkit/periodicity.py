@@ -444,6 +444,10 @@ def run_period_benchmark(
     if random_permutations < 1:
         raise SpecError(f"random_permutations must be >= 1, got {random_permutations}")
     config = config or PeriodicGeneratorConfig()
+    if not methods:
+        raise SpecError("methods must name at least one period method")
+    if len(set(methods)) != len(methods):
+        raise SpecError(f"methods must not repeat, got {methods!r}")
     for m in methods:
         if m != "random" and m not in _DETECTOR_FUNCS and m != "autoperiod":
             raise SpecError(f"unknown period method {m!r}")

@@ -10,8 +10,11 @@ state untouched, including the reservoir RNG.
 Four strategies:
 
 - ``fixed_value`` — constant threshold.
-- ``trailing_percentile`` — percentile of past scores, estimated from a
-  bounded seeded reservoir (or exactly over a trailing ``horizon``).
+- ``trailing_percentile`` — percentile of past scores over a pool: a
+  bounded seeded reservoir, or the exact trailing ``horizon`` window.  The
+  percentile is exact over the pool: a sorted mirror of the pool is kept
+  with ``bisect``, and numpy's ``linear`` quantile formula is applied to
+  it, so each step costs O(pool) list moves instead of a fresh sort.
 - ``k_sigma`` — running mean plus k running standard deviations.
 - ``feedback_adaptive`` — a fixed starting threshold that multiplies up on
   annotated false positives and down on annotated true positives.
@@ -23,9 +26,10 @@ working through an alert queue can produce.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from math import isnan
+from math import floor, inf, isnan
 
 import numpy as np
 
@@ -89,6 +93,8 @@ class Thresholder:
         self._window: deque[float] | None = (
             deque(maxlen=spec.horizon) if spec.horizon is not None else None
         )
+        self._sorted: list[float] = []  # the pool (window or reservoir), ascending
+        self._percentile: float | None = None  # cached until the pool changes
         # k_sigma state (Welford)
         self._n = 0
         self._mean = 0.0
@@ -109,10 +115,9 @@ class Thresholder:
         if kind == "feedback_adaptive":
             return self._adaptive
         if kind == "trailing_percentile":
-            pool = self._window if self._window is not None else self._reservoir
-            if not pool:
-                return np.inf
-            return float(np.quantile(np.asarray(pool), self.spec.percentile))
+            if self._percentile is None:
+                self._percentile = _linear_quantile(self._sorted, self.spec.percentile)
+            return self._percentile
         # k_sigma
         if self._n < 2:
             return np.inf
@@ -134,15 +139,21 @@ class Thresholder:
         kind = self.spec.kind
         if kind == "trailing_percentile":
             if self._window is not None:
+                if len(self._window) == self._window.maxlen:
+                    _discard(self._sorted, self._window[0])
                 self._window.append(score)
-                return
-            self._seen += 1
-            if len(self._reservoir) < self.spec.reservoir_size:
-                self._reservoir.append(score)
             else:
-                j = int(self._rng.integers(1, self._seen + 1))
-                if j <= self.spec.reservoir_size:
+                self._seen += 1
+                if len(self._reservoir) < self.spec.reservoir_size:
+                    self._reservoir.append(score)
+                else:
+                    j = int(self._rng.integers(1, self._seen + 1))
+                    if j > self.spec.reservoir_size:
+                        return
+                    _discard(self._sorted, self._reservoir[j - 1])
                     self._reservoir[j - 1] = score
+            insort(self._sorted, score)
+            self._percentile = None
         elif kind == "k_sigma":
             self._n += 1
             delta = score - self._mean
@@ -168,6 +179,38 @@ class Thresholder:
         self._awaiting_feedback = False
         if self.spec.kind == "feedback_adaptive":
             self._adaptive *= self.spec.up if label == 0 else self.spec.down
+
+
+def _discard(ordered: list[float], value: float) -> None:
+    del ordered[bisect_left(ordered, value)]
+
+
+def _linear_quantile(ordered: list[float], q: float) -> float:
+    """``np.quantile(ordered, q)`` (method ``linear``) of an ascending list.
+
+    Repeats numpy's float operations in numpy's order (``_get_indexes``,
+    ``_get_gamma``, ``_lerp``), so the result is numpy's bit for bit without
+    building an array.  The one exception is the sign of a zero result:
+    numpy's partition leaves tied -0.0 and 0.0 in no fixed order, so the two
+    may disagree on it, never on ``==`` or on any decision.  Past the last
+    index numpy points both neighbours at the last element (index -1),
+    which also fixes gamma.
+    """
+    n = len(ordered)
+    if n == 0:
+        return inf
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        lo = hi = -1
+    else:
+        lo = floor(virtual)
+        hi = lo + 1
+    gamma = virtual - lo
+    a, b = ordered[lo], ordered[hi]
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
 
 
 def apply_batch(spec: ThresholdSpec, scores: ScoreSequence | np.ndarray) -> np.ndarray:

@@ -498,6 +498,10 @@ def test_reports_are_deterministic_modulo_timings(runner, tmp_path):
         ("bench-period", ["--n-series", "2", "--permutations", "-1"], None),
         ("cohort", [], {"top": "2"}),
         ("cohort", ["--top", "-1"], None),
+        ("datagen", ["--n-series", "0"], None),
+        ("datagen", ["--n-series", "-2"], None),
+        ("bench-period", ["--n-series", "2", "--methods", ","], None),
+        ("bench-period", ["--n-series", "2", "--methods", "peaks,peaks"], None),
     ],
 )
 def test_malformed_values_give_one_json_error_line(runner, tmp_path, task, flags, doc):

@@ -72,6 +72,13 @@ class TestFeedbackLog:
         assert log.indices() == (3, 7)
         assert len(log) == 2
 
+    def test_since_is_the_tail_of_entries(self):
+        log = FeedbackLog()
+        for index, label in [(2, 0), (5, 1), (9, 1), (12, 0)]:
+            log.record(index, label)
+        for k in range(len(log) + 2):
+            assert log.since(k) == log.entries[k:]
+
     def test_indices_must_strictly_increase(self):
         log = FeedbackLog()
         log.record(5, 1)

@@ -1,10 +1,14 @@
 """Thresholder strategies against brute-force reference computations."""
 
+import pickle
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tadkit.core import ProtocolError, ScoreSequence, SpecError
+from tadkit.detectors import DetectorConfig, make_detector
 from tadkit.thresholds import (
     KINDS,
     Thresholder,
@@ -250,3 +254,59 @@ def test_oracle_threshold_edge_cases():
     thr, f1 = oracle_fixed_threshold(np.array([0.1, 0.2, 5.0]), np.array([0, 0, 1]))
     assert f1 == 1.0
     assert (np.array([0.1, 0.2, 5.0]) > thr).tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("q", [0.123, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("horizon, reservoir_size", [(None, 4096), (None, 8), (1, 4096), (7, 4096), (40, 4096)])
+def test_trailing_percentile_equals_quantile_of_its_pool_at_every_step(q, horizon, reservoir_size):
+    rng = np.random.default_rng(16)
+    spec = ThresholdSpec(
+        kind="trailing_percentile", percentile=q, horizon=horizon,
+        reservoir_size=reservoir_size, seed=5,
+    )
+    streams = [
+        rng.normal(size=300),
+        rng.integers(-3, 4, size=300).astype(float),  # heavy ties
+        np.round(rng.exponential(1.0, size=300) * 1e6, -5),  # large, tied
+    ]
+    for scores in streams:
+        thr = Thresholder(spec)
+        for s in scores:
+            pool = thr._window if horizon is not None else thr._reservoir
+            expected = float(np.quantile(np.asarray(pool), q)) if len(pool) else np.inf
+            assert thr.threshold == expected
+            assert thr.update(s) == (1 if s > expected else 0)
+
+
+def _restart_run(spec, values, cut=None):
+    """Spectral residual + thresholder; pickled and restored after ``cut`` points."""
+    detector = make_detector(DetectorConfig(method="spectral_residual", window=16))
+    thresholder = Thresholder(spec)
+    out = []
+    for t, x in enumerate(values):
+        if t == cut:
+            detector, thresholder = pickle.loads(pickle.dumps((detector, thresholder)))
+        threshold = thresholder.threshold
+        out.append((threshold, thresholder.update(detector.update(float(x)))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ThresholdSpec(kind="trailing_percentile", percentile=0.9, reservoir_size=32, seed=4),
+        ThresholdSpec(kind="trailing_percentile", percentile=0.9, horizon=25),
+    ],
+    ids=["reservoir", "horizon"],
+)
+def test_a_pickled_detector_and_thresholder_continue_bit_for_bit(spec):
+    rng = np.random.default_rng(17)
+    values = np.sin(np.arange(240) / 5.0) + 0.2 * rng.standard_normal(240)
+    values[[90, 150, 200]] += 4.0
+    whole = _restart_run(spec, values)
+    for cut in (30, 120, 239):
+        resumed = _restart_run(spec, values, cut)
+        assert [struct.pack("<d", thr) for thr, _ in resumed] == [
+            struct.pack("<d", thr) for thr, _ in whole
+        ]
+        assert [d for _, d in resumed] == [d for _, d in whole]
