@@ -677,6 +677,8 @@ def _task_cohort(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     p = config.params
     if p["top"] is not None and p["top"] < 1:
         raise SpecError(f"top must be >= 1, got {p['top']}")
+    if p["min_support"] < 1:
+        raise SpecError(f"min_support must be >= 1, got {p['min_support']}")
     matrix_ids, matrix = load_matrix_csv(p["matrix"])
     attr_ids, attributes = load_attributes_csv(p["attributes"])
     if matrix_ids != attr_ids:

@@ -59,6 +59,9 @@ _LOG_EPS = 1e-12
 _SAL_EPS = 1e-8
 # Window standard deviations at or below this use the raw-distance fallback.
 _ZNORM_EPS = 1e-12
+# Windows ``run_streaming`` scores per spectral-residual kernel call: enough
+# to amortize the per-call overhead, few enough that memory stays flat.
+_SR_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -156,57 +159,89 @@ class _GrowingBuffer:
         return self._data[: self.n]
 
 
-def _saliency(values: np.ndarray, ma_width: int, pad_points: int) -> np.ndarray:
-    """Saliency map of ``values`` (optionally extended by extrapolation).
+class _SaliencyKernel:
+    """Spectral-residual saliency of equal-length windows, one row per window.
 
-    The spectral residual is the log-amplitude spectrum minus its moving
-    average (edge-normalized, so a flat log spectrum has residual exactly
-    zero); inverting with the original phase turns residual energy back
-    into per-point saliency.  Only the saliencies of the original points
-    are returned.
+    Each window is extended by extrapolated pad points, and its spectral
+    residual is the log-amplitude spectrum minus its moving average
+    (edge-normalized, so a flat log spectrum has residual exactly zero);
+    inverting with the original phase turns residual energy back into
+    per-point saliency.  Only the saliencies of the original points are
+    returned.
+
+    All rows go through one FFT, one inverse FFT and one pass of each
+    elementwise step, and every row comes out bit for bit as if it were
+    scored alone, so the streaming detector (one row per update),
+    ``run_streaming`` (blocks of rows) and ``run_batch`` (the whole series
+    as one row) give the same numbers.  The constants that depend only on
+    the window length are computed once, and the extended windows go into a
+    buffer of ``rows`` rows allocated here.
     """
-    n = len(values)
-    # The pad estimate must not see the newest point, or a spike there would
-    # drag the pads to its own level and hide itself.
-    m = min(pad_points, n - 2)
-    if m > 0:
-        base = values[:-1]
-        grads = (base[-1] - base[-1 - m : -1][::-1]) / np.arange(1, m + 1)
-        ext = np.concatenate([values, np.full(m, base[-m] + grads.mean() * m)])
-    else:
-        ext = values
-    spectrum = np.fft.fft(ext)
-    amplitude = np.abs(spectrum)
-    log_amp = np.log(np.maximum(amplitude, _LOG_EPS))
-    kernel = np.ones(ma_width)
-    ma = np.convolve(log_amp, kernel, mode="same") / np.convolve(
-        np.ones(len(ext)), kernel, mode="same"
-    )
-    residual = log_amp - ma
-    phase = np.angle(spectrum)
-    sal = np.abs(np.fft.ifft(np.exp(residual + 1j * phase)))
-    return sal[:n]
+
+    def __init__(self, n: int, ma_width: int, pad_points: int, rows: int = 1):
+        self.n = n
+        # the slopes reach m points back from the second-newest point
+        self._m = m = max(0, min(pad_points, n - 2))
+        self._steps = np.arange(1, m + 1)
+        self._ma_kernel = np.ones(ma_width)
+        self._ma_denominator = np.convolve(np.ones(n + m), self._ma_kernel, mode="same")
+        self._ext = np.empty((rows, n + m), dtype=np.float64)
+
+    def __call__(self, windows: np.ndarray) -> np.ndarray:
+        """Saliency of each row of ``windows`` (at most ``rows`` rows of ``n``)."""
+        n, m = self.n, self._m
+        ext = self._ext[: len(windows)]
+        ext[:, :n] = windows
+        if m > 0:
+            # The pad estimate must not see the newest point, or a spike there
+            # would drag the pads to its own level and hide itself.
+            grads = (ext[:, n - 2 : n - 1] - ext[:, n - 2 - m : n - 2][:, ::-1]) / self._steps
+            ext[:, n:] = (ext[:, n - 1 - m] + np.add.reduce(grads, axis=1) / m * m)[:, None]
+        spectrum = np.fft.fft(ext, axis=-1)
+        log_amp = np.abs(spectrum)
+        np.log(np.maximum(log_amp, _LOG_EPS, out=log_amp), out=log_amp)
+        ma = np.empty_like(log_amp)
+        for row, out in zip(log_amp, ma):
+            out[:] = np.convolve(row, self._ma_kernel, mode="same")
+        ma /= self._ma_denominator
+        residual = np.subtract(log_amp, ma, out=ma)
+        z = 1j * np.arctan2(spectrum.imag, spectrum.real)
+        z += residual
+        sal = np.abs(np.fft.ifft(np.exp(z, out=z), axis=-1))
+        return sal[:, :n]
+
+    def newest_scores(self, windows: np.ndarray) -> np.ndarray:
+        """Relative saliency of the newest (last) point of each row, floored at 0."""
+        sal = self(windows)
+        mean_sal = np.add.reduce(sal, axis=1) / self.n
+        score = (sal[:, -1] - mean_sal) / (mean_sal + _SAL_EPS)
+        return np.where(score > 0.0, score, 0.0)
 
 
 class _SpectralResidualDetector(StreamingDetector):
+    """Holds 2·w values: when the buffer fills, its last w - 1 move to the front."""
+
     def __init__(self, config: DetectorConfig):
         super().__init__(config)
-        self._buf = _GrowingBuffer()
-        self._w = int(config.window)
+        self._w = w = int(config.window)
+        self._kernel = _SaliencyKernel(w, config.sr_ma_width, config.sr_pad_points)
+        self._buf = np.empty(2 * w, dtype=np.float64)
+        self._n = 0
 
     @property
     def warmup(self) -> int:
         return self._w - 1
 
     def _score(self, x: float) -> float:
-        self._buf.append(x)
-        if self.count < self._w:
+        w, n = self._w, self._n
+        if n == len(self._buf):
+            self._buf[: w - 1] = self._buf[n - w + 1 :]
+            n = w - 1
+        self._buf[n] = x
+        self._n = n = n + 1
+        if self.count < w:
             return MISSING
-        window = self._buf.view()[-self._w :]
-        sal = _saliency(window, self.config.sr_ma_width, self.config.sr_pad_points)
-        mean_sal = float(sal.mean())
-        score = (float(sal[-1]) - mean_sal) / (mean_sal + _SAL_EPS)
-        return max(0.0, score)
+        return float(self._kernel.newest_scores(self._buf[None, n - w : n])[0])
 
 
 class _EwmaResidualDetector(StreamingDetector):
@@ -420,15 +455,34 @@ def make_detector(config: DetectorConfig) -> StreamingDetector:
 
 
 def run_streaming(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
-    """Score every point of ``series`` with a fresh streaming detector."""
+    """Score every point of ``series`` as a fresh streaming detector would.
+
+    Fixed-window spectral residual scores blocks of trailing windows through
+    the detector's kernel instead of one ``update`` per point.
+    """
     values = series.values
     if np.isnan(values).any():
         raise InputError("detectors need a gap-free series; resample first")
+    if config.method == "spectral_residual" and config.window != "auto":
+        return ScoreSequence.from_scores(_spectral_residual_stream(config, values))
     det = make_detector(config)
     scores = np.empty(len(values), dtype=np.float64)
     for i, x in enumerate(values):
         scores[i] = det.update(float(x))
     return ScoreSequence.from_scores(scores)
+
+
+def _spectral_residual_stream(config: DetectorConfig, values: np.ndarray) -> np.ndarray:
+    """What ``update`` returns at every point, scored ``_SR_BLOCK_ROWS`` windows at a time."""
+    w = int(config.window)
+    scores = np.full(len(values), MISSING, dtype=np.float64)
+    if len(values) >= w:
+        kernel = _SaliencyKernel(w, config.sr_ma_width, config.sr_pad_points, _SR_BLOCK_ROWS)
+        windows = sliding_window_view(values, w)
+        for start in range(0, len(windows), _SR_BLOCK_ROWS):
+            block = windows[start : start + _SR_BLOCK_ROWS]
+            scores[w - 1 + start : w - 1 + start + len(block)] = kernel.newest_scores(block)
+    return scores
 
 
 def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
@@ -454,7 +508,8 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
     scores = np.full(n, MISSING, dtype=np.float64)
     if method == "spectral_residual":
         if n:
-            sal = _saliency(values, config.sr_ma_width, config.sr_pad_points)
+            kernel = _SaliencyKernel(n, config.sr_ma_width, config.sr_pad_points)
+            sal = kernel(values[None, :])[0]
             mean_sal = float(sal.mean())
             scores = np.maximum(0.0, (sal - mean_sal) / (mean_sal + _SAL_EPS))
     elif method == "ewma_residual":

@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,6 +84,7 @@ class PeriodEstimate:
     elapsed: float
 
 
+@lru_cache(maxsize=256)
 def _next_fast_len(m: int) -> int:
     """Smallest 5-smooth integer >= m (a fast FFT size for pocketfft)."""
     best = 1 << int(m - 1).bit_length()

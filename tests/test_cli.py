@@ -502,6 +502,7 @@ def test_reports_are_deterministic_modulo_timings(runner, tmp_path):
         ("datagen", ["--n-series", "-2"], None),
         ("bench-period", ["--n-series", "2", "--methods", ","], None),
         ("bench-period", ["--n-series", "2", "--methods", "peaks,peaks"], None),
+        ("cohort", ["--mode", "rules", "--min-support", "-1"], None),
     ],
 )
 def test_malformed_values_give_one_json_error_line(runner, tmp_path, task, flags, doc):

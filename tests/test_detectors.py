@@ -1,12 +1,15 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from tadkit.core import InputError, SpecError, TimeSeries
 from tadkit.detectors import (
+    _SR_BLOCK_ROWS,
     METHODS,
     DetectorConfig,
+    _SaliencyKernel,
     make_detector,
     run_batch,
     run_streaming,
@@ -92,6 +95,104 @@ def test_sr_batch_finds_the_spike_too():
     out = run_batch(DetectorConfig(method="spectral_residual", window=64), series)
     assert out.warmup == 0
     assert int(np.argmax(out.scores)) == spike_at
+
+
+def oracle_saliency(values, ma_width, pad_points):
+    """The one-window-at-a-time saliency the row kernel must reproduce bit for bit."""
+    n = len(values)
+    m = min(pad_points, n - 2)
+    if m > 0:
+        base = values[:-1]
+        grads = (base[-1] - base[-1 - m : -1][::-1]) / np.arange(1, m + 1)
+        ext = np.concatenate([values, np.full(m, base[-m] + grads.mean() * m)])
+    else:
+        ext = values
+    spectrum = np.fft.fft(ext)
+    amplitude = np.abs(spectrum)
+    log_amp = np.log(np.maximum(amplitude, 1e-12))
+    kernel = np.ones(ma_width)
+    ma = np.convolve(log_amp, kernel, mode="same") / np.convolve(
+        np.ones(len(ext)), kernel, mode="same"
+    )
+    residual = log_amp - ma
+    phase = np.angle(spectrum)
+    sal = np.abs(np.fft.ifft(np.exp(residual + 1j * phase)))
+    return sal[:n]
+
+
+def oracle_newest_score(window, ma_width, pad_points):
+    sal = oracle_saliency(window, ma_width, pad_points)
+    mean_sal = float(sal.mean())
+    return max(0.0, (float(sal[-1]) - mean_sal) / (mean_sal + 1e-8))
+
+
+@pytest.mark.parametrize("w", [2, 3, 8, 128])
+@pytest.mark.parametrize("pad_points", [0, 1, 5])
+@pytest.mark.parametrize("ma_width", [1, 2, 3, 4, 7])
+def test_sr_row_kernel_equals_the_one_window_oracle(ma_width, pad_points, w):
+    rng = np.random.default_rng(1000 * w + 10 * pad_points + ma_width)
+    rows = rng.standard_normal((11, w)) * rng.choice([1e-3, 1.0, 1e4], size=(11, 1))
+    rows[3] = 2.5                                   # flat: residual exactly zero
+    rows[4, -1] += 50.0                             # spike on the newest point
+    rows[5] = np.round(rows[5])                     # ties and exact zeros
+    kernel = _SaliencyKernel(w, ma_width, pad_points, rows=len(rows))
+    try:
+        expected = np.array([oracle_saliency(row, ma_width, pad_points) for row in rows])
+    except ValueError:
+        # a moving average wider than the extended window fails in both
+        with pytest.raises(ValueError):
+            kernel(rows)
+        return
+    for part in (slice(None), slice(0, 1), slice(4, 9)):
+        got = kernel(rows[part])
+        assert got.shape == expected[part].shape
+        assert (got == expected[part]).all()
+    expected_scores = [oracle_newest_score(row, ma_width, pad_points) for row in rows]
+    assert kernel.newest_scores(rows).tobytes() == np.array(expected_scores).tobytes()
+
+
+def test_sr_batch_scores_the_whole_series_as_one_window():
+    series, _ = _spiky_series()
+    sal = oracle_saliency(series.values, 3, 5)
+    mean_sal = float(sal.mean())
+    expected = np.maximum(0.0, (sal - mean_sal) / (mean_sal + 1e-8))
+    out = run_batch(DetectorConfig(method="spectral_residual", window=64), series)
+    assert (out.scores == expected).all()
+
+
+@pytest.mark.parametrize("w", [3, 16])
+@pytest.mark.parametrize("n_extra", [-1, 0, 1, 3 * _SR_BLOCK_ROWS + 5])
+def test_sr_run_streaming_equals_the_update_loop(w, n_extra):
+    # n_extra past w - 1 is the number of scored windows: 3 blocks + 5 crosses
+    # every block edge, and n < w is warmup only
+    n = w - 1 + n_extra
+    rng = np.random.default_rng(n)
+    values = np.sin(np.arange(n) / 4.0) + 0.3 * rng.standard_normal(n)
+    config = DetectorConfig(method="spectral_residual", window=w)
+    det = make_detector(config)
+    looped = np.array([det.update(float(x)) for x in values])
+    out = run_streaming(config, _series(values))
+    assert out.scores.tobytes() == looped.tobytes()
+    assert out.warmup == min(n, w - 1)
+    if n < w:
+        assert np.isnan(out.scores).all()
+    oracle = [oracle_newest_score(values[t - w + 1 : t + 1], 3, 5) for t in range(w - 1, n)]
+    assert out.scores[w - 1 :].tobytes() == np.array(oracle).tobytes()
+
+
+def test_sr_detector_state_stays_bounded_by_the_window():
+    w = 32
+    det = make_detector(DetectorConfig(method="spectral_residual", window=w))
+    rng = np.random.default_rng(5)
+    sizes = []
+    for stop in (w, 5 * w, 20 * w):
+        while det.count < stop:
+            det.update(float(rng.standard_normal()))
+        sizes.append(len(pickle.dumps(det)))
+    # a buffer of the whole stream would hold 20·w floats (160·w bytes); the
+    # ring buffer, the kernel's row buffer and its constants hold about 4·w
+    assert max(sizes) - min(sizes) <= 16
+    assert max(sizes) <= 1024 + 48 * w
 
 
 # --- ewma residual -----------------------------------------------------------

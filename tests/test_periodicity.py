@@ -7,6 +7,7 @@ from tadkit.datagen import PeriodicGeneratorConfig, generate_periodic
 from tadkit.periodicity import (
     MAX_CANDIDATE_LAG,
     MIN_CANDIDATE_LAG,
+    _next_fast_len,
     autocorrelation,
     default_max_lag,
     detect_period_acf,
@@ -26,6 +27,20 @@ def brute_acf(values: np.ndarray, max_lag: int) -> np.ndarray:
     for lag in range(max_lag + 1):
         out[lag] = (float(np.dot(x[: n - lag], x[lag:])) / n) / acov0
     return out
+
+
+def test_next_fast_len_is_the_smallest_5_smooth_size():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    expected = 1
+    for m in range(1, 5001):
+        while expected < m or not smooth(expected):
+            expected += 1
+        assert _next_fast_len(m) == expected, m
 
 
 def _series(values):
