@@ -24,6 +24,7 @@ side), and includes a shuffled-answers baseline for calibration.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -84,22 +85,28 @@ class PeriodEstimate:
     elapsed: float
 
 
-@lru_cache(maxsize=256)
-def _next_fast_len(m: int) -> int:
-    """Smallest 5-smooth integer >= m (a fast FFT size for pocketfft)."""
-    best = 1 << int(m - 1).bit_length()
+@lru_cache(maxsize=1)
+def _fast_lens() -> tuple[int, ...]:
+    """Every 5-smooth integer up to 2**40 (far past any in-memory series), ascending."""
+    limit = 1 << 40
+    sizes = []
     f5 = 1
-    while f5 <= best:
+    while f5 <= limit:
         f35 = f5
-        while f35 <= best:
-            if f35 >= m:
-                best = min(best, f35)
-                break
-            rem = (m + f35 - 1) // f35
-            best = min(best, f35 * (1 << int(rem - 1).bit_length()))
+        while f35 <= limit:
+            size = f35
+            while size <= limit:
+                sizes.append(size)
+                size *= 2
             f35 *= 3
         f5 *= 5
-    return best
+    return tuple(sorted(sizes))
+
+
+def _next_fast_len(m: int) -> int:
+    """Smallest 5-smooth integer >= m (a fast FFT size for pocketfft)."""
+    sizes = _fast_lens()
+    return sizes[bisect_left(sizes, m)]
 
 
 def autocorrelation(series: TimeSeries, max_lag: int | None = None) -> AcfProfile:
