@@ -162,20 +162,14 @@ class _GrowingBuffer:
 class _SaliencyKernel:
     """Spectral-residual saliency of equal-length windows, one row per window.
 
-    Each window is extended by extrapolated pad points, and its spectral
+    Each window is extended by extrapolated pad points.  Its spectral
     residual is the log-amplitude spectrum minus its moving average
     (edge-normalized, so a flat log spectrum has residual exactly zero);
-    inverting with the original phase turns residual energy back into
-    per-point saliency.  Only the saliencies of the original points are
-    returned.
-
-    All rows go through one FFT, one inverse FFT and one pass of each
-    elementwise step, and every row comes out bit for bit as if it were
-    scored alone, so the streaming detector (one row per update),
-    ``run_streaming`` (blocks of rows) and ``run_batch`` (the whole series
-    as one row) give the same numbers.  The constants that depend only on
-    the window length are computed once, and the extended windows go into a
-    buffer of ``rows`` rows allocated here.
+    inverting with the original phase turns residual energy back into the
+    saliency of each original point.  All rows share one FFT, one inverse
+    FFT and one pass of each elementwise step, yet each row comes out bit for
+    bit as if scored alone, so ``update`` (one row), ``run_streaming``
+    (blocks of rows) and ``run_batch`` (the series as one row) agree.
     """
 
     def __init__(self, n: int, ma_width: int, pad_points: int, rows: int = 1):
@@ -215,7 +209,7 @@ class _SaliencyKernel:
         sal = self(windows)
         mean_sal = np.add.reduce(sal, axis=1) / self.n
         score = (sal[:, -1] - mean_sal) / (mean_sal + _SAL_EPS)
-        return np.where(score > 0.0, score, 0.0)
+        return np.where(score > 0.0, score, 0.0)  # as max(0.0, score): NaN floors to 0
 
 
 class _SpectralResidualDetector(StreamingDetector):
