@@ -110,6 +110,21 @@ class DetectorConfig:
             raise SpecError("auto_resolve_at must be >= 3")
         if self.auto_fallback < 2:
             raise SpecError("auto_fallback must be >= 2")
+        if self.method == "spectral_residual" and self.window != "auto":
+            _check_ma_width(int(self.window), self.sr_ma_width, self.sr_pad_points)
+
+
+def _pad_count(n: int, pad_points: int) -> int:
+    """Pad points a window of ``n`` gets: the slopes reach back from the second-newest point."""
+    return max(0, min(pad_points, n - 2))
+
+
+def _check_ma_width(n: int, ma_width: int, pad_points: int) -> None:
+    extended = n + _pad_count(n, pad_points)
+    if ma_width > extended:
+        raise SpecError(
+            f"sr_ma_width {ma_width} is wider than the {extended}-point extended window"
+        )
 
 
 class StreamingDetector(ABC):
@@ -173,9 +188,9 @@ class _SaliencyKernel:
     """
 
     def __init__(self, n: int, ma_width: int, pad_points: int, rows: int = 1):
+        _check_ma_width(n, ma_width, pad_points)
         self.n = n
-        # the slopes reach m points back from the second-newest point
-        self._m = m = max(0, min(pad_points, n - 2))
+        self._m = m = _pad_count(n, pad_points)
         self._steps = np.arange(1, m + 1)
         self._ma_kernel = np.ones(ma_width)
         self._ma_denominator = np.convolve(np.ones(n + m), self._ma_kernel, mode="same")
@@ -489,15 +504,6 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
     if np.isnan(values).any():
         raise InputError("detectors need a gap-free series; resample first")
     n = len(values)
-    if config.window == "auto":
-        try:
-            period = detect_period_peaks(series).period
-        except (SpecError, DegenerateScaleError):
-            period = None
-        window = int(period) if period is not None else config.auto_fallback
-    else:
-        window = int(config.window)
-
     method = config.method
     scores = np.full(n, MISSING, dtype=np.float64)
     if method == "spectral_residual":
@@ -516,7 +522,7 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
         scale = max(float(np.abs(resid).mean()) if n else 0.0, config.scale_floor)
         scores = np.abs(resid) / scale
     elif method == "left_discord":
-        w = window
+        w = _batch_window(config, series)
         if n >= 2 * w:
             windows = sliding_window_view(values, w)
             for end in range(w - 1, n):
@@ -532,10 +538,21 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
                         values[start : end + 1], np.vstack(pool)
                     )
     else:  # kmeans_window
-        w, k = window, config.n_clusters
+        w, k = _batch_window(config, series), config.n_clusters
         if n >= max(k, 1) * w:
             windows = sliding_window_view(values, w)
             centers = _lloyd(windows.copy(), _maximin_centers(windows, k))
             d2 = ((windows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             scores[w - 1 :] = np.sqrt(d2.min(axis=1))
     return ScoreSequence.from_scores(scores)
+
+
+def _batch_window(config: DetectorConfig, series: TimeSeries) -> int:
+    """The window a batch window method uses: "auto" is the whole series' dominant period."""
+    if config.window != "auto":
+        return int(config.window)
+    try:
+        period = detect_period_peaks(series).period
+    except (SpecError, DegenerateScaleError):
+        period = None
+    return int(period) if period is not None else config.auto_fallback

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from tadkit import detectors
 from tadkit.core import InputError, SpecError, TimeSeries
 from tadkit.detectors import (
     _SR_BLOCK_ROWS,
@@ -135,20 +136,47 @@ def test_sr_row_kernel_equals_the_one_window_oracle(ma_width, pad_points, w):
     rows[3] = 2.5                                   # flat: residual exactly zero
     rows[4, -1] += 50.0                             # spike on the newest point
     rows[5] = np.round(rows[5])                     # ties and exact zeros
-    kernel = _SaliencyKernel(w, ma_width, pad_points, rows=len(rows))
     try:
         expected = np.array([oracle_saliency(row, ma_width, pad_points) for row in rows])
     except ValueError:
-        # a moving average wider than the extended window fails in both
-        with pytest.raises(ValueError):
-            kernel(rows)
+        # a moving average wider than the extended window fails in the
+        # oracle; the kernel refuses it when built
+        with pytest.raises(SpecError, match="sr_ma_width"):
+            _SaliencyKernel(w, ma_width, pad_points, rows=len(rows))
         return
+    kernel = _SaliencyKernel(w, ma_width, pad_points, rows=len(rows))
     for part in (slice(None), slice(0, 1), slice(4, 9)):
         got = kernel(rows[part])
         assert got.shape == expected[part].shape
         assert (got == expected[part]).all()
     expected_scores = [oracle_newest_score(row, ma_width, pad_points) for row in rows]
     assert kernel.newest_scores(rows).tobytes() == np.array(expected_scores).tobytes()
+
+
+def test_sr_moving_average_wider_than_the_extended_window_is_a_spec_error():
+    with pytest.raises(SpecError, match="sr_ma_width"):
+        DetectorConfig(window=3, sr_ma_width=7)
+    DetectorConfig(window=3, sr_ma_width=4)  # 3 points plus 1 pad point
+    DetectorConfig(method="ewma_residual", window=3, sr_ma_width=7)  # never reads it
+    with pytest.raises(SpecError, match="sr_ma_width"):
+        run_batch(DetectorConfig(window=64, sr_ma_width=9), _series([0.0, 1.0, 0.0, 2.0]))
+    det = make_detector(DetectorConfig(window="auto", sr_ma_width=300, auto_resolve_at=10))
+    with pytest.raises(SpecError, match="sr_ma_width"):
+        for x in _spiky_series(n=10, spike_at=5)[0].values:
+            det.update(x)  # the window resolved at the 10th point is too narrow
+
+
+@pytest.mark.parametrize("method", ["spectral_residual", "ewma_residual"])
+def test_batch_auto_window_skips_the_period_search_for_windowless_methods(method, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the period search ran")
+
+    monkeypatch.setattr(detectors, "detect_period_peaks", refuse)
+    series, _ = _spiky_series()
+    auto = run_batch(DetectorConfig(method=method, window="auto"), series)
+    fixed = run_batch(DetectorConfig(method=method, window=64), series)
+    assert auto.warmup == fixed.warmup
+    assert auto.scores.tobytes() == fixed.scores.tobytes()
 
 
 def test_sr_batch_scores_the_whole_series_as_one_window():
