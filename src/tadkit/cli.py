@@ -26,6 +26,7 @@ import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Mapping, get_args, get_type_hints
 
@@ -121,8 +122,35 @@ def _read_rows(path) -> list[list[str]]:
     if not path.is_file():
         raise InputError(f"input file not found: {path}")
     with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
+        rows = [row for row in csv.reader(handle) if any(map(str.strip, row))]
     return rows
+
+
+# Each loader parses whole columns first: one comprehension per column through
+# the builtins the per-row parse uses, straight into an array.  When a row has
+# the wrong width or a cell does not parse, the loader reruns its per-row
+# parse, the only place that words a FormatError, so messages and line
+# numbers name the first bad row.  ISO timestamps also take that path.
+
+_BITS = frozenset({"0", "1"})
+
+
+def _column(rows: list[list[str]], j: int, parse: Callable[[str], Any]) -> list:
+    """``parse`` of field ``j`` of every data row (``rows[0]`` is the header)."""
+    return [parse(row[j]) for row in islice(rows, 1, None)]
+
+
+def _bits(cells: list[str]) -> np.ndarray:
+    """Stripped ``cells`` as int8; ``ValueError`` unless each is "0" or "1"."""
+    if not _BITS.issuperset(cells):
+        raise ValueError("not a bit")
+    return np.fromiter(map(int, cells), dtype=np.int8, count=len(cells))
+
+
+def _check_width(rows: list[list[str]], width: int) -> None:
+    """``ValueError`` unless every row, the header included, has ``width`` fields."""
+    if set(map(len, rows)) != {width}:
+        raise ValueError("ragged rows")
 
 
 def load_labeled_csv(path) -> tuple[TimeSeries | EventStream, LabelSequence | None]:
@@ -140,22 +168,35 @@ def load_labeled_csv(path) -> tuple[TimeSeries | EventStream, LabelSequence | No
     if len(rows) == 1:
         raise FormatError(f"{path}: no data rows")
     has_label = len(header) == 3
+    try:
+        _check_width(rows, len(header))
+        timestamps = np.array(_column(rows, 0, int), dtype=np.int64)
+        values = np.array(_column(rows, 1, float))
+        labels = _bits(_column(rows, 2, str.strip)) if has_label else None
+    except (ValueError, OverflowError):
+        timestamps, values, labels = _labeled_rows(path, rows, has_label)
+    series = _classify(np.asarray(timestamps, dtype=np.int64), np.asarray(values))
+    label_seq = LabelSequence(np.asarray(labels, dtype=np.int8)) if has_label else None
+    return series, label_seq
+
+
+def _labeled_rows(path: Path, rows: list[list[str]], has_label: bool) -> tuple[list, list, list]:
+    """The per-row parse behind :func:`load_labeled_csv`."""
+    width = 3 if has_label else 2
     timestamps: list[int] = []
     values: list[float] = []
     labels: list[int] = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in enumerate(islice(rows, 1, None), start=2):
         where = f"{path} line {line_no}"
-        if len(row) != len(header):
-            raise FormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        if len(row) != width:
+            raise FormatError(f"{where}: expected {width} fields, got {len(row)}")
         timestamps.append(_parse_timestamp(row[0], where))
         values.append(_parse_float(row[1], where, "value"))
         if has_label:
             if row[2].strip() not in ("0", "1"):
                 raise FormatError(f"{where}: label must be 0 or 1, got {row[2]!r}")
             labels.append(int(row[2]))
-    series = _classify(np.asarray(timestamps, dtype=np.int64), np.asarray(values))
-    label_seq = LabelSequence(np.asarray(labels, dtype=np.int8)) if has_label else None
-    return series, label_seq
+    return timestamps, values, labels
 
 
 def load_series_csv(path) -> TimeSeries | EventStream:
@@ -187,22 +228,29 @@ def _classify(timestamps: np.ndarray, values: np.ndarray) -> TimeSeries | EventS
 def write_series_csv(path, series: TimeSeries | EventStream, labels=None) -> Path:
     """Write a series as ``timestamp,value[,label]``; floats keep full precision."""
     path = Path(path)
-    timestamps = _timestamps(series)
-    values = series.values
-    lab = None
+    header = ["timestamp", "value"]
+    columns = [_timestamps(series).tolist(), series.values.tolist()]
     if labels is not None:
         lab = labels.labels if isinstance(labels, LabelSequence) else np.asarray(labels)
-        if len(lab) != len(values):
-            raise AlignmentError(f"{len(lab)} labels for {len(values)} points")
+        if len(lab) != len(series.values):
+            raise AlignmentError(f"{len(lab)} labels for {len(series.values)} points")
+        header.append("label")
+        columns.append(list(map(int, lab.tolist())))
+    _write_columns(path, header, columns)
+    return path
+
+
+def _write_columns(path, header: list[str], columns: list[list]) -> None:
+    """Write ``header``, then row ``i`` from item ``i`` of each column.
+
+    Columns hold Python scalars, as ``ndarray.tolist`` gives them: ``csv``
+    writes an int in decimal and a float as its ``repr``, so floats keep full
+    precision and ``nan``, ``inf`` and ``-0.0`` round-trip through ``float``.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["timestamp", "value"] + (["label"] if lab is not None else []))
-        for i in range(len(values)):
-            row = [int(timestamps[i]), repr(float(values[i]))]
-            if lab is not None:
-                row.append(int(lab[i]))
-            writer.writerow(row)
-    return path
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 def load_attributes_csv(path) -> tuple[list[str], list[dict[str, str]]]:
@@ -220,13 +268,15 @@ def load_attributes_csv(path) -> tuple[list[str], list[dict[str, str]]]:
         raise FormatError(f"{path}: no data rows")
     names = header[1:]
     ids: list[str] = []
+    seen: set[str] = set()
     attributes: list[dict[str, str]] = []
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise FormatError(f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}")
         sid = row[0].strip()
-        if sid in ids:
+        if sid in seen:
             raise FormatError(f"{path} line {line_no}: duplicate series_id {sid!r}")
+        seen.add(sid)
         ids.append(sid)
         attributes.append({name: row[i + 1].strip() for i, name in enumerate(names)})
     return ids, attributes
@@ -245,11 +295,25 @@ def load_matrix_csv(path) -> tuple[list[str], np.ndarray]:
         )
     if len(rows) == 1:
         raise FormatError(f"{path}: no data rows")
+    try:
+        _check_width(rows, len(header))
+        ids = _column(rows, 0, str.strip)
+        # row by row: one flat list of every cell would raise the peak memory
+        bits = np.empty((len(ids), len(header) - 1), dtype=np.int8)
+        for out, row in zip(bits, islice(rows, 1, None)):
+            out[:] = _bits([cell.strip() for cell in islice(row, 1, None)])
+    except ValueError:
+        ids, bits = _matrix_rows(path, rows, len(header))
+    return ids, np.asarray(bits, dtype=np.int8)
+
+
+def _matrix_rows(path: Path, rows: list[list[str]], width: int) -> tuple[list[str], list[list[int]]]:
+    """The per-row parse behind :func:`load_matrix_csv`."""
     ids: list[str] = []
     bits: list[list[int]] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise FormatError(f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}")
+    for line_no, row in enumerate(islice(rows, 1, None), start=2):
+        if len(row) != width:
+            raise FormatError(f"{path} line {line_no}: expected {width} fields, got {len(row)}")
         ids.append(row[0].strip())
         line_bits = []
         for cell in row[1:]:
@@ -257,7 +321,7 @@ def load_matrix_csv(path) -> tuple[list[str], np.ndarray]:
                 raise FormatError(f"{path} line {line_no}: cells must be 0 or 1, got {cell!r}")
             line_bits.append(int(cell))
         bits.append(line_bits)
-    return ids, np.asarray(bits, dtype=np.int8)
+    return ids, bits
 
 
 def load_covariates_csv(path, target: str | None = None) -> CovariateSet:
@@ -283,15 +347,12 @@ def load_covariates_csv(path, target: str | None = None) -> CovariateSet:
     target = target if target is not None else names[0]
     if target not in names:
         raise SchemaError(f"target column {target!r} not in {names}")
-    timestamps: list[int] = []
-    columns: dict[str, list[float]] = {name: [] for name in names}
-    for line_no, row in enumerate(rows[1:], start=2):
-        where = f"{path} line {line_no}"
-        if len(row) != len(header):
-            raise FormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
-        timestamps.append(_parse_timestamp(row[0], where))
-        for name, cell in zip(names, row[1:]):
-            columns[name].append(_parse_float(cell, where, name))
+    try:
+        _check_width(rows, len(header))
+        timestamps = np.array(_column(rows, 0, int), dtype=np.int64)
+        columns = {name: np.array(_column(rows, j, float)) for j, name in enumerate(names, start=1)}
+    except (ValueError, OverflowError):
+        timestamps, columns = _covariate_rows(path, rows, names)
     shaped = _classify(np.asarray(timestamps, dtype=np.int64), np.asarray(columns[target]))
     if not isinstance(shaped, TimeSeries):
         raise InputError(f"{path}: conditional scoring needs a regular grid; resample first")
@@ -301,6 +362,21 @@ def load_covariates_csv(path, target: str | None = None) -> CovariateSet:
         if name != target
     }
     return CovariateSet(target=shaped, covariates=covariates)
+
+
+def _covariate_rows(path: Path, rows: list[list[str]], names: list[str]) -> tuple[list, dict]:
+    """The per-row parse behind :func:`load_covariates_csv`."""
+    width = len(names) + 1
+    timestamps: list[int] = []
+    columns: dict[str, list[float]] = {name: [] for name in names}
+    for line_no, row in enumerate(islice(rows, 1, None), start=2):
+        where = f"{path} line {line_no}"
+        if len(row) != width:
+            raise FormatError(f"{where}: expected {width} fields, got {len(row)}")
+        timestamps.append(_parse_timestamp(row[0], where))
+        for name, cell in zip(names, row[1:]):
+            columns[name].append(_parse_float(cell, where, name))
+    return timestamps, columns
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +415,16 @@ class RunReport:
     timings: Mapping[str, float]
 
 
+_JSON_SCALARS = frozenset({str, int, bool, type(None)})
+
+
 def _jsonable(value):
-    if isinstance(value, Mapping):
+    kind = type(value)  # exact types first: an isinstance check against Mapping is slow
+    if kind in _JSON_SCALARS:
+        return value
+    if kind is float:
+        return value if math.isfinite(value) else None
+    if kind is dict or isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
@@ -386,6 +470,7 @@ def write_report(report: RunReport, out_dir) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     jsonl = out_dir / "report.jsonl"
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(jsonl, "w") as handle:
         meta = {
             "record": "meta",
@@ -393,24 +478,21 @@ def write_report(report: RunReport, out_dir) -> tuple[Path, Path]:
             "environment": _jsonable(report.environment),
             "timings": _jsonable(report.timings),
         }
-        handle.write(json.dumps(meta, sort_keys=True) + "\n")
+        handle.write(encode(meta) + "\n")
         for record in report.records:
-            handle.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
+            handle.write(encode(_jsonable(record)) + "\n")
 
     summary = out_dir / "summary.csv"
     rows = [
-        {k: v for k, v in record.items() if not isinstance(v, (list, tuple, dict))}
+        {k: _jsonable(v) for k, v in record.items() if not isinstance(v, (list, tuple, dict))}
         for record in report.records
     ]
-    fieldnames: list[str] = []
-    for row in rows:
-        fieldnames.extend(k for k in row if k not in fieldnames)
+    fieldnames = list(dict.fromkeys(k for row in rows for k in row))
     with open(summary, "w", newline="") as handle:
         if rows:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames, restval="")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _jsonable(v) for k, v in row.items()})
+            writer = csv.writer(handle)
+            writer.writerow(fieldnames)
+            writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
     return jsonl, summary
 
 
@@ -437,16 +519,12 @@ def _load_label_file(path, series: TimeSeries) -> LabelSequence:
     header = [cell.strip().lower() for cell in rows[0]]
     if header != ["timestamp", "label"]:
         raise FormatError(f"{path}: expected header 'timestamp,label', got {','.join(rows[0])!r}")
-    stamps: list[int] = []
-    bits: list[int] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        where = f"{path} line {line_no}"
-        if len(row) != 2:
-            raise FormatError(f"{where}: expected 2 fields, got {len(row)}")
-        stamps.append(_parse_timestamp(row[0], where))
-        if row[1].strip() not in ("0", "1"):
-            raise FormatError(f"{where}: label must be 0 or 1, got {row[1]!r}")
-        bits.append(int(row[1]))
+    try:
+        _check_width(rows, 2)
+        stamps = np.array(_column(rows, 0, int), dtype=np.int64)
+        bits = _bits(_column(rows, 1, str.strip))
+    except (ValueError, OverflowError):
+        stamps, bits = _label_file_rows(path, rows)
     if len(bits) != len(series) or not np.array_equal(
         np.asarray(stamps, dtype=np.int64), _timestamps(series)
     ):
@@ -455,6 +533,21 @@ def _load_label_file(path, series: TimeSeries) -> LabelSequence:
             f"({len(bits)} labels for {len(series)} points)"
         )
     return LabelSequence(np.asarray(bits, dtype=np.int8))
+
+
+def _label_file_rows(path: Path, rows: list[list[str]]) -> tuple[list[int], list[int]]:
+    """The per-row parse behind :func:`_load_label_file`."""
+    stamps: list[int] = []
+    bits: list[int] = []
+    for line_no, row in enumerate(islice(rows, 1, None), start=2):
+        where = f"{path} line {line_no}"
+        if len(row) != 2:
+            raise FormatError(f"{where}: expected 2 fields, got {len(row)}")
+        stamps.append(_parse_timestamp(row[0], where))
+        if row[1].strip() not in ("0", "1"):
+            raise FormatError(f"{where}: label must be 0 or 1, got {row[1]!r}")
+        bits.append(int(row[1]))
+    return stamps, bits
 
 
 def _resolve_labels(p: Mapping[str, Any], series: TimeSeries, inline: LabelSequence | None) -> LabelSequence:
@@ -540,12 +633,11 @@ def _task_detect(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     else:
         scores = run_batch(detector, series)
         decisions = apply_batch(spec, scores)
-    stamps = _timestamps(series)
-    with open(out_dir / "scores.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", "score", "decision"])
-        for i in range(len(series)):
-            writer.writerow([int(stamps[i]), repr(float(scores.scores[i])), int(decisions[i])])
+    _write_columns(
+        out_dir / "scores.csv",
+        ["timestamp", "score", "decision"],
+        [_timestamps(series).tolist(), scores.scores.tolist(), decisions.tolist()],
+    )
     finite = scores.scores[scores.warmup :]
     return [
         {
@@ -636,14 +728,11 @@ def _task_conditional(config: ExperimentConfig, out_dir: Path) -> list[dict]:
         outputs["conditional"] = run_conditional(_build(ConditionalConfig, p), data)
     if p["mode"] in ("joint", "both"):
         outputs["joint"] = run_joint(_build(JointConfig, p), data)
-    stamps = _timestamps(data.target)
-    with open(out_dir / "scores.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp"] + list(outputs))
-        for i in range(len(data)):
-            writer.writerow(
-                [int(stamps[i])] + [repr(float(seq.scores[i])) for seq in outputs.values()]
-            )
+    _write_columns(
+        out_dir / "scores.csv",
+        ["timestamp", *outputs],
+        [_timestamps(data.target).tolist(), *(seq.scores.tolist() for seq in outputs.values())],
+    )
     records = []
     for mode, seq in outputs.items():
         finite = seq.scores[seq.warmup :]

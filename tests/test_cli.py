@@ -14,6 +14,11 @@ from hypothesis import given, settings, strategies as st
 from tadkit.cli import (
     TASK_PARAMS,
     ExperimentConfig,
+    _classify,
+    _parse_float,
+    _parse_timestamp,
+    _read_rows,
+    _write_columns,
     load_attributes_csv,
     load_covariates_csv,
     load_labeled_csv,
@@ -24,9 +29,11 @@ from tadkit.cli import (
     write_series_csv,
 )
 from tadkit.core import (
+    CovariateSet,
     EventStream,
     FormatError,
     InputError,
+    LabelSequence,
     OrderingError,
     SchemaError,
     SpecError,
@@ -216,6 +223,299 @@ class TestSideTables:
         path = _write(tmp_path / "c.csv", "timestamp,a\n0,1\n60,2\n500,3\n")
         with pytest.raises(InputError, match="resample"):
             load_covariates_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Column-wise loaders and writer against per-row oracles.  The oracles are the
+# former row-at-a-time bodies; each loader must return what its oracle
+# returns, or raise the same exception with the same message.
+
+
+def oracle_load_labeled_csv(path):
+    path = Path(path)
+    rows = _read_rows(path)
+    if not rows:
+        raise FormatError(f"{path}: empty file; expected header 'timestamp,value[,label]'")
+    header = [cell.strip().lower() for cell in rows[0]]
+    if header not in (["timestamp", "value"], ["timestamp", "value", "label"]):
+        raise FormatError(
+            f"{path}: expected header 'timestamp,value' or 'timestamp,value,label', "
+            f"got {','.join(rows[0])!r}"
+        )
+    if len(rows) == 1:
+        raise FormatError(f"{path}: no data rows")
+    has_label = len(header) == 3
+    timestamps, values, labels = [], [], []
+    for line_no, row in enumerate(rows[1:], start=2):
+        where = f"{path} line {line_no}"
+        if len(row) != len(header):
+            raise FormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        timestamps.append(_parse_timestamp(row[0], where))
+        values.append(_parse_float(row[1], where, "value"))
+        if has_label:
+            if row[2].strip() not in ("0", "1"):
+                raise FormatError(f"{where}: label must be 0 or 1, got {row[2]!r}")
+            labels.append(int(row[2]))
+    series = _classify(np.asarray(timestamps, dtype=np.int64), np.asarray(values))
+    label_seq = LabelSequence(np.asarray(labels, dtype=np.int8)) if has_label else None
+    return series, label_seq
+
+
+def oracle_load_matrix_csv(path):
+    path = Path(path)
+    rows = _read_rows(path)
+    if not rows:
+        raise FormatError(f"{path}: empty file; expected header 'series_id,<t0>,...'")
+    header = [cell.strip() for cell in rows[0]]
+    if header[0] != "series_id" or len(header) < 2:
+        raise FormatError(
+            f"{path}: expected header 'series_id,<t0>,...', got {','.join(rows[0])!r}"
+        )
+    if len(rows) == 1:
+        raise FormatError(f"{path}: no data rows")
+    ids, bits = [], []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise FormatError(f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}")
+        ids.append(row[0].strip())
+        line_bits = []
+        for cell in row[1:]:
+            if cell.strip() not in ("0", "1"):
+                raise FormatError(f"{path} line {line_no}: cells must be 0 or 1, got {cell!r}")
+            line_bits.append(int(cell))
+        bits.append(line_bits)
+    return ids, np.asarray(bits, dtype=np.int8)
+
+
+def oracle_load_covariates_csv(path, target=None):
+    path = Path(path)
+    rows = _read_rows(path)
+    if not rows:
+        raise FormatError(f"{path}: empty file; expected header 'timestamp,<col>,...'")
+    header = [cell.strip() for cell in rows[0]]
+    if header[0].lower() != "timestamp" or len(header) < 2:
+        raise FormatError(
+            f"{path}: expected header 'timestamp,<col>,...', got {','.join(rows[0])!r}"
+        )
+    if len(rows) == 1:
+        raise FormatError(f"{path}: no data rows")
+    names = header[1:]
+    if len(set(names)) != len(names):
+        raise FormatError(f"{path}: duplicate column names in header")
+    target = target if target is not None else names[0]
+    if target not in names:
+        raise SchemaError(f"target column {target!r} not in {names}")
+    timestamps = []
+    columns = {name: [] for name in names}
+    for line_no, row in enumerate(rows[1:], start=2):
+        where = f"{path} line {line_no}"
+        if len(row) != len(header):
+            raise FormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        timestamps.append(_parse_timestamp(row[0], where))
+        for name, cell in zip(names, row[1:]):
+            columns[name].append(_parse_float(cell, where, name))
+    shaped = _classify(np.asarray(timestamps, dtype=np.int64), np.asarray(columns[target]))
+    if not isinstance(shaped, TimeSeries):
+        raise InputError(f"{path}: conditional scoring needs a regular grid; resample first")
+    covariates = {
+        name: shaped.with_values(np.asarray(columns[name])) for name in names if name != target
+    }
+    return CovariateSet(target=shaped, covariates=covariates)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as err:  # the exception itself is what is compared
+        return err
+
+
+def _same_series(a, b):
+    assert type(a) is type(b)
+    assert a.values.tobytes() == b.values.tobytes()
+    if isinstance(a, TimeSeries):
+        assert (a.start, a.interval) == (b.start, b.interval)
+    else:
+        assert a.timestamps.tobytes() == b.timestamps.tobytes()
+
+
+def _assert_same_outcome(got, expected):
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected), repr(got)
+        assert str(got) == str(expected)
+        return True
+    assert not isinstance(got, Exception), repr(got)
+    return False
+
+
+_SERIES_BODIES = {
+    "plain": "0,1.5\n60,2.5\n120,3.5\n",
+    "whitespace": " 0 , 1.5 \n\t60\t,2.5\n 120,  3.5\n",
+    "underscores": "1_000,1_0.5\n1_060,2\n1_120,3\n",
+    "nan_and_negative_zero": "0,nan\n60,-0.0\n120,NaN\n180,5e-324\n240,1e308\n",
+    "infinity": "0,1\n60,inf\n120,2\n",
+    "iso_z_and_offsets": "2026-01-02T00:00:00Z,1\n2026-01-02T01:01:00+01:00,2\n2026-01-02T00:02:00z,3\n",
+    "iso_mixed_with_epoch": "1767312000,1\n2026-01-02T00:01:00Z,2\n1767312120,3\n",
+    "naive_iso": "2026-01-02T00:00:00,1\n2026-01-02T00:01:00,2\n",
+    "subsecond": "0,1\n2026-01-02T00:00:00.500000Z,2\n",
+    "bad_timestamp": "0,1\n60,2\n1.5,3\n",
+    "separator_char_around_timestamp": "0,1\n\x1c60\x1c,2\n120,3\n",
+    "short_row": "0,1\n60\n120,3\n",
+    "long_row": "0,1\n60,2,3,4\n",
+    "blank_lines": "\n0,1\n\n   \n , \n60,2\n\n120,3\n",
+    "bad_value_line_4": "0,1\n60,2\n120,oops\n180,x\n",
+    "decreasing": "0,1\n60,1\n30,1\n",
+    "irregular": "0,1.5\n7,-2.25\n9,0.1\n100,4\n",
+    "single_row": "5,1.0\n",
+    "overflowing_timestamp": "0,1\n99999999999999999999,2\n",
+    "overflow_then_bad_value": "99999999999999999999,1\n60,oops\n",
+}
+_LABEL_CELLS = {
+    "plain": ["0", "1", "0"],
+    "whitespace": [" 1 ", "0\t", " 0"],
+    "bad_label_line_3": ["0", "2", "0"],
+    "leading_zero_label": ["01", "0", "1"],
+    "signed_label": ["+1", "0", "0"],
+    "empty_label": ["0", "", "1"],
+}
+
+
+def _labeled_corpus():
+    for name, body in _SERIES_BODIES.items():
+        yield name, "timestamp,value\n" + body
+    base = ["0,1.5", "60,2.5", "120,3.5"]
+    for name, cells in _LABEL_CELLS.items():
+        rows = [f"{row},{cell}" for row, cell in zip(base, cells)]
+        yield f"labels_{name}", " Timestamp,VALUE,label\n" + "\n".join(rows) + "\n"
+    yield "labels_short_row", "timestamp,value,label\n0,1,0\n60,2\n"
+    yield "labels_iso", "timestamp,value,label\n2026-01-02T00:00:00Z,1,1\n2026-01-02T00:01:00Z,2,0\n"
+    yield "labels_bad_label_after_iso", "timestamp,value,label\n2026-01-02T00:00:00Z,1,1\n60,2,5\n"
+    yield "header_only", "timestamp,value\n"
+    yield "empty", ""
+    yield "wrong_header", "time,val\n0,1\n"
+
+
+@pytest.mark.parametrize("name, text", list(_labeled_corpus()))
+def test_labeled_loader_matches_the_per_row_oracle(tmp_path, name, text):
+    path = _write(tmp_path / f"{name}.csv", text)
+    expected = _outcome(oracle_load_labeled_csv, path)
+    got = _outcome(load_labeled_csv, path)
+    if _assert_same_outcome(got, expected):
+        return
+    _same_series(got[0], expected[0])
+    if expected[1] is None:
+        assert got[1] is None
+    else:
+        assert got[1].labels.tobytes() == expected[1].labels.tobytes()
+
+
+def _covariate_corpus():
+    yield "plain", "timestamp,a,b\n0,1,2\n60,3,4\n120,5,6\n"
+    yield "whitespace", " timestamp , a , b \n 0 , 1 ,2\n60, 3 , 4\n120,5,6\n"
+    yield "underscores_nan", "timestamp,a,b\n1_000,nan,-0.0\n1_060,1_0.5,NaN\n1_120,2,3\n"
+    yield "infinity", "timestamp,a,b\n0,1,-inf\n60,2,3\n"
+    yield "iso", "timestamp,a,b\n2026-01-02T00:00:00Z,1,2\n2026-01-02T01:01:00+01:00,3,4\n"
+    yield "subsecond", "timestamp,a,b\n0,1,2\n2026-01-02T00:00:00.5Z,3,4\n"
+    yield "bad_cell_in_b", "timestamp,a,b\n0,1,2\n60,3,x\n120,y,4\n"
+    yield "short_row", "timestamp,a,b\n0,1,2\n60,3\n"
+    yield "long_row", "timestamp,a,b\n0,1,2,9\n"
+    yield "blank_lines", "timestamp,a,b\n\n0,1,2\n  \n60,3,4\n"
+    yield "decreasing", "timestamp,a,b\n0,1,2\n60,3,4\n30,5,6\n"
+    yield "irregular", "timestamp,a,b\n0,1,2\n60,3,4\n500,5,6\n"
+    yield "overflow", "timestamp,a,b\n0,1,2\n99999999999999999999,3,4\n"
+    yield "overflow_then_bad_cell", "timestamp,a,b\n99999999999999999999,1,2\n60,3,x\n"
+    yield "duplicate_columns", "timestamp,a,a\n0,1,2\n"
+
+
+@pytest.mark.parametrize("name, text", list(_covariate_corpus()))
+def test_covariate_loader_matches_the_per_row_oracle(tmp_path, name, text):
+    path = _write(tmp_path / f"{name}.csv", text)
+    expected = _outcome(oracle_load_covariates_csv, path)
+    got = _outcome(load_covariates_csv, path)
+    if _assert_same_outcome(got, expected):
+        return
+    _same_series(got.target, expected.target)
+    assert got.names == expected.names
+    for name in expected.names:
+        _same_series(got.covariates[name], expected.covariates[name])
+
+
+def _matrix_corpus():
+    yield "plain", "series_id,t0,t1,t2\ns0,0,1,0\ns1,1,1,0\n"
+    yield "whitespace", " series_id ,t0,t1\n s0 , 1 ,0\ns1,\t0,1 \n"
+    yield "bad_bit_line_3", "series_id,t0,t1\ns0,0,1\ns1,0,2\ns2,x,0\n"
+    yield "leading_zero_bit", "series_id,t0,t1\ns0,01,1\n"
+    yield "signed_bit", "series_id,t0\ns0,+1\n"
+    yield "empty_bit", "series_id,t0,t1\ns0,,1\n"
+    yield "short_row", "series_id,t0,t1\ns0,0,1\ns1,0\n"
+    yield "long_row", "series_id,t0\ns0,0,1\n"
+    yield "blank_lines", "series_id,t0,t1\n\ns0,0,1\n , \ns1,1,0\n"
+    yield "header_only", "series_id,t0\n"
+    yield "wrong_header", "id,t0\ns0,1\n"
+
+
+@pytest.mark.parametrize("name, text", list(_matrix_corpus()))
+def test_matrix_loader_matches_the_per_row_oracle(tmp_path, name, text):
+    path = _write(tmp_path / f"{name}.csv", text)
+    expected = _outcome(oracle_load_matrix_csv, path)
+    got = _outcome(load_matrix_csv, path)
+    if _assert_same_outcome(got, expected):
+        return
+    assert got[0] == expected[0]
+    assert got[1].dtype == expected[1].dtype and got[1].shape == expected[1].shape
+    assert got[1].tobytes() == expected[1].tobytes()
+
+
+def oracle_write_series(path, timestamps, values, labels=None):
+    """The former row-at-a-time writer."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["timestamp", "value"] + (["label"] if labels is not None else []))
+        for i in range(len(values)):
+            row = [int(timestamps[i]), repr(float(values[i]))]
+            if labels is not None:
+                row.append(int(labels[i]))
+            writer.writerow(row)
+
+
+_AWKWARD_VALUES = np.array(
+    [-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, math.pi, 0.1, 1e-17]
+)
+_EXTREME_STAMPS = np.array(
+    [np.iinfo(np.int64).min, -1, 0, 1, 1767312000, 2**53 + 1, np.iinfo(np.int64).max - 1,
+     np.iinfo(np.int64).max, 7, 8, 9],
+    dtype=np.int64,
+)
+
+
+@pytest.mark.parametrize("with_labels", [False, True])
+def test_column_writer_matches_the_row_writer(tmp_path, with_labels):
+    labels = np.array([0, 1] * 5 + [1], dtype=np.int8) if with_labels else None
+    oracle_write_series(tmp_path / "rows.csv", _EXTREME_STAMPS, _AWKWARD_VALUES, labels)
+    header = ["timestamp", "value"] + (["label"] if with_labels else [])
+    columns = [_EXTREME_STAMPS.tolist(), _AWKWARD_VALUES.tolist()]
+    if with_labels:
+        columns.append(labels.tolist())
+    _write_columns(tmp_path / "columns.csv", header, columns)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [None, np.array([0, 1, 1, 0, 1], dtype=np.int8), np.array([0, 1, 1, 0, 1], dtype=bool),
+     [0.0, 1.0, 1.0, 0.0, 1.0]],
+)
+def test_series_writer_matches_the_row_writer(tmp_path, labels):
+    finite = np.array([-0.0, np.nan, 5e-324, 1e308, math.pi])
+    series = TimeSeries(np.iinfo(np.int64).max - 4 * 60, 60, finite)
+    stream = EventStream(_EXTREME_STAMPS[:5], np.array([-0.0, 5e-324, 1e308, -1e308, 0.1]))
+    for name, data in (("series", series), ("stream", stream)):
+        write_series_csv(tmp_path / f"{name}.csv", data, labels)
+        stamps = data.timestamps() if isinstance(data, TimeSeries) else data.timestamps
+        lab = None if labels is None else np.asarray(labels)
+        oracle_write_series(tmp_path / f"{name}_rows.csv", stamps, data.values, lab)
+        written = (tmp_path / f"{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}_rows.csv").read_bytes()
 
 
 def test_strip_timings_removes_nested_wall_clock_keys():
