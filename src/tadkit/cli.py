@@ -92,9 +92,13 @@ def _timestamps(series: TimeSeries | EventStream) -> np.ndarray:
 def _parse_timestamp(text: str, where: str) -> int:
     raw = text.strip()
     try:
-        return int(raw)
+        epoch = int(raw)
     except ValueError:
         pass
+    else:
+        if not -(2**63) <= epoch < 2**63:
+            raise FormatError(f"{where}: timestamp {text!r} is outside the int64 range")
+        return epoch
     iso = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
     try:
         stamp = datetime.fromisoformat(iso)

@@ -35,6 +35,8 @@ __all__ = [
     "run_joint",
 ]
 
+_BLOCK = 256  # steps per block in the run drivers; bounds their transient arrays
+
 
 @dataclass(frozen=True)
 class ConditionalConfig:
@@ -65,6 +67,10 @@ class ConditionalScorer:
     at I/ridge, so the system is never singular.  The residual scale is an
     exponentially weighted mean absolute deviation with the same forgetting
     factor, floored so a perfectly explained target scores 0, not NaN.
+
+    ``update`` builds each regressor from its lag buffers and
+    :func:`run_conditional` builds them a block of rows at a time; both then
+    take the same RLS step, ``_train``.
     """
 
     def __init__(self, config: ConditionalConfig, n_covariates: int):
@@ -99,12 +105,12 @@ class ConditionalScorer:
         self.count += 1
         score = MISSING
         if t >= self._max_lag:
-            score = self._score_and_train(float(x), cov, scoring=t >= self.warmup)
+            score = self._train(self._regressor(cov), float(x), scoring=t >= self.warmup)
         self._x_hist.appendleft(float(x))
         self._cov_hist.appendleft(cov)
         return score
 
-    def _score_and_train(self, x: float, cov: np.ndarray, scoring: bool) -> float:
+    def _regressor(self, cov: np.ndarray) -> np.ndarray:
         cfg = self.config
         a = np.empty(self._p)
         a[0] = 1.0
@@ -118,6 +124,11 @@ class ConditionalScorer:
             for i in range(cfg.covariate_lags):
                 a[pos] = self._cov_hist[i][c]
                 pos += 1
+        return a
+
+    def _train(self, a: np.ndarray, x: float, scoring: bool) -> float:
+        """One RLS step on regressor ``a`` and target ``x``: score, then learn."""
+        cfg = self.config
         err = x - float(self._theta @ a)
         score = (
             abs(err) / max(self._scale, cfg.scale_floor) if scoring else MISSING
@@ -149,7 +160,17 @@ class JointConfig:
 
 
 class JointScorer:
-    """Mahalanobis distance under exponentially weighted mean/covariance."""
+    """Mahalanobis distance under exponentially weighted mean/covariance.
+
+    One kernel serves ``update`` (a block of one vector) and
+    :func:`run_joint` (blocks of ``_BLOCK`` vectors).  The mean and
+    covariance recursions are elementwise, so the kernel runs them as scalar
+    loops per component and per upper-triangle entry, with the IEEE
+    operations of ``mean + (1-lam)*e`` and ``lam*cov + (1-lam)*outer(e, e)``
+    in the same order.  It then solves every scored step with one stacked
+    ``np.linalg.solve``, which calls LAPACK ``gesv`` once per matrix as a
+    single solve does.
+    """
 
     def __init__(self, config: JointConfig, dim: int):
         if dim < 1:
@@ -158,8 +179,9 @@ class JointScorer:
         self.dim = dim
         self._min_history = config.min_history or dim + 1
         self._prev: np.ndarray | None = None
-        self._mean: np.ndarray | None = None
-        self._cov = np.zeros((dim, dim))
+        self._mean: list[float] | None = None
+        self._cov = [[0.0] * dim for _ in range(dim)]
+        self._ridge = config.ridge * np.eye(dim)
         self._seen = 0
         self.count = 0
 
@@ -174,35 +196,64 @@ class JointScorer:
         if not np.all(np.isfinite(vec)):
             raise InputError("joint scorer inputs must be finite")
         self.count += 1
-        if self.config.differencing:
-            if self._prev is None:
-                self._prev = vec
-                return MISSING
-            d = vec - self._prev
-            self._prev = vec
-        else:
-            d = vec
-        score = MISSING
-        if self._seen >= self._min_history:
-            e = d - self._mean
-            sigma = self._cov + self.config.ridge * np.eye(self.dim)
-            score = float(np.sqrt(max(0.0, float(e @ np.linalg.solve(sigma, e)))))
-        self._absorb(d)
-        return score
+        return float(self._block(vec[None, :])[0])
 
-    def _absorb(self, d: np.ndarray) -> None:
+    def _block(self, rows: np.ndarray) -> np.ndarray:
+        """Scores of the finite ``(m, dim)`` vectors ``rows``; state moves past them."""
+        scores = np.full(len(rows), MISSING)
+        steps = rows
+        if self.config.differencing and len(rows):
+            if self._prev is not None:
+                rows = np.concatenate([self._prev, rows])
+            self._prev = rows[-1:].copy()
+            steps = rows[1:] - rows[:-1]
+        skip = len(scores) - len(steps)
+        if self._mean is None and len(steps):
+            self._mean = steps[0].tolist()
+            self._seen = 1
+            steps, skip = steps[1:], skip + 1
+        if not len(steps):
+            return scores
         lam = self.config.forgetting
-        if self._mean is None:
-            self._mean = d.copy()
-        else:
-            e = d - self._mean
-            self._mean = self._mean + (1.0 - lam) * e
-            self._cov = lam * self._cov + (1.0 - lam) * np.outer(e, e)
-        self._seen += 1
+        keep = 1.0 - lam
+        errors = []
+        for j, column in enumerate(steps.T.tolist()):
+            mu = self._mean[j]
+            ej = []
+            for value in column:
+                e = value - mu
+                mu = mu + keep * e
+                ej.append(e)
+            self._mean[j] = mu
+            errors.append(ej)
+        history = [[None] * self.dim for _ in range(self.dim)]  # entries before each step
+        for i in range(self.dim):
+            for k in range(i, self.dim):
+                acc = self._cov[i][k]
+                before = []
+                for ei, ek in zip(errors[i], errors[k]):
+                    before.append(acc)
+                    acc = lam * acc + keep * (ei * ek)
+                self._cov[i][k] = self._cov[k][i] = acc
+                history[i][k] = history[k][i] = before
+        first = max(0, self._min_history - self._seen)
+        self._seen += len(steps)
+        if first < len(steps):
+            E = np.array(errors).T[first:].copy()
+            covs = np.array(history)[:, :, first:].transpose(2, 0, 1)
+            solved = np.linalg.solve(covs + self._ridge, E[:, :, None])
+            q = np.matmul(E[:, None, :], solved)[:, 0, 0]
+            scores[skip + first :] = np.sqrt(np.where(q > 0.0, q, 0.0))
+        return scores
 
 
 def run_conditional(config: ConditionalConfig, data: CovariateSet) -> ScoreSequence:
-    """Conditional scores for the target of ``data``, one per point."""
+    """Conditional scores for the target of ``data``, one per point.
+
+    The regressors are built ``_BLOCK`` rows at a time from lagged slices of
+    the columns, then each row takes the same RLS step as
+    :meth:`ConditionalScorer.update`.
+    """
     names = data.names
     target = data.target.values
     if np.isnan(target).any() or any(
@@ -214,10 +265,20 @@ def run_conditional(config: ConditionalConfig, data: CovariateSet) -> ScoreSeque
         if names
         else np.zeros((len(target), 0))
     )
+    if not (np.isfinite(target).all() and np.isfinite(cov_matrix).all()):
+        raise InputError("conditional scorer inputs must be finite")
     scorer = ConditionalScorer(config, n_covariates=len(names))
-    scores = np.empty(len(target))
-    for i, x in enumerate(target):
-        scores[i] = scorer.update(float(x), cov_matrix[i])
+    scores = np.full(len(target), MISSING)
+    warmup = scorer.warmup
+    # rows start at the largest lag, so every lagged slice is in range
+    for start in range(scorer._max_lag, len(target), _BLOCK):
+        stop = min(start + _BLOCK, len(target))
+        columns = [np.ones(stop - start)]
+        columns += [target[start - i : stop - i] for i in range(1, config.ar_order + 1)]
+        for c in range(len(names)):
+            columns += [cov_matrix[start - i : stop - i, c] for i in range(config.covariate_lags + 1)]
+        for t, a in enumerate(np.column_stack(columns), start):
+            scores[t] = scorer._train(a, float(target[t]), t >= warmup)
     return ScoreSequence.from_scores(scores)
 
 
@@ -228,8 +289,10 @@ def run_joint(config: JointConfig, data: CovariateSet) -> ScoreSequence:
     matrix = np.column_stack(cols)
     if np.isnan(matrix).any():
         raise InputError("joint scoring needs gap-free inputs; resample first")
+    if not np.isfinite(matrix).all():
+        raise InputError("joint scorer inputs must be finite")
     scorer = JointScorer(config, dim=matrix.shape[1])
     scores = np.empty(len(matrix))
-    for i in range(len(matrix)):
-        scores[i] = scorer.update(matrix[i])
+    for start in range(0, len(matrix), _BLOCK):
+        scores[start : start + _BLOCK] = scorer._block(matrix[start : start + _BLOCK])
     return ScoreSequence.from_scores(scores)

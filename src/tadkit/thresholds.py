@@ -257,19 +257,24 @@ def oracle_fixed_threshold(
     candidates = np.concatenate([[np.nextafter(finite[0], -np.inf)],
                                  (finite[:-1] + finite[1:]) / 2.0,
                                  [finite[-1]]])
-    best_thr, best_f1 = np.inf, -1.0
     positives = int(lab.sum())
-    for thr in candidates:
-        pred = np.nan_to_num(arr, nan=-np.inf) > thr
-        tp = int(np.sum(pred & (lab == 1)))
-        fp = int(np.sum(pred & (lab == 0)))
-        fn = positives - tp
-        if tp == 0 and fp == 0 and fn == 0:
-            f1 = 1.0
-        elif tp == 0:
-            f1 = 0.0
-        else:
-            f1 = 2.0 * tp / (2.0 * tp + fp + fn)
-        if f1 > best_f1:
-            best_thr, best_f1 = float(thr), f1
-    return best_thr, best_f1
+    # rank the points once; those above a candidate are a suffix of the ranking
+    ranked = np.nan_to_num(arr, nan=-np.inf).ravel()
+    order = np.argsort(ranked)
+    ranked = ranked[order]
+    flat = np.broadcast_to(lab, arr.shape).ravel()[order]
+    below = np.searchsorted(ranked, candidates, side="right")
+    tp = _count_above(flat == 1, below)
+    fp = _count_above(flat == 0, below)
+    fn = positives - tp
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = 2.0 * tp / (2.0 * tp + fp + fn)
+    f1 = np.where(tp == 0, np.where((fp == 0) & (fn == 0), 1.0, 0.0), ratio)
+    best = int(np.argmax(f1))  # the first maximum, as a scan keeping strict gains
+    return float(candidates[best]), float(f1[best])
+
+
+def _count_above(hits: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """Per cut, how many of the ranked ``hits`` sit at or after it."""
+    before = np.concatenate([[0], np.cumsum(hits)])
+    return before[-1] - before[below]

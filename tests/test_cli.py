@@ -823,6 +823,26 @@ def test_malformed_values_give_one_json_error_line(runner, tmp_path, task, flags
     assert json.loads(line)["error"] == "SpecError"
 
 
+@pytest.mark.parametrize("stamp", ["99999999999999999999", "9223372036854775808"])
+@pytest.mark.parametrize("task", ["detect", "evaluate", "resample", "conditional", "labels"])
+def test_epoch_timestamps_beyond_int64_give_one_json_error_line(runner, tmp_path, task, stamp):
+    if task == "conditional":
+        path = _write(tmp_path / "in.csv", f"timestamp,a,b\n0,1,2\n{stamp},3,4\n")
+        args = [task, "--input", str(path)]
+    elif task == "labels":
+        labels = _write(tmp_path / "labels.csv", f"timestamp,label\n0,0\n{stamp},1\n")
+        args = ["evaluate", "--input", str(_make_input(tmp_path)), "--labels", str(labels)]
+    else:
+        path = _write(tmp_path / "in.csv", f"timestamp,value\n0,1\n{stamp},2\n")
+        args = [task, "--input", str(path)]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, repr(result.exception)
+    (line,) = result.stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "FormatError"
+    assert "line 3" in payload["message"] and "int64" in payload["message"]
+
+
 @pytest.mark.parametrize(
     "task, flags",
     [

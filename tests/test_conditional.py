@@ -10,6 +10,8 @@ arithmetic routes to the same estimate, so agreement is to tolerance, not
 bit-level.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -182,6 +184,73 @@ def test_joint_scores_match_the_reference_loop():
     assert got.warmup == 3 + 1  # min_history dim+1, plus one for differencing
 
 
+def _joint_corpus_matrix(dim, kind, n=513, seed=0):
+    rng = np.random.default_rng(seed + 10 * dim)
+    walk = np.cumsum(rng.standard_normal((n, dim)), axis=0)
+    if kind == "rounded":
+        return np.round(walk, 1)
+    if kind == "tied":
+        return rng.integers(0, 3, size=(n, dim)).astype(float)
+    if kind == "constant_covariate":
+        walk[:, -1] = 4.0
+    return walk
+
+
+@pytest.mark.parametrize("kind", ["walk", "rounded", "tied", "constant_covariate"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_joint_scores_match_the_reference_loop_on_a_corpus(dim, kind):
+    # block edges sit at 256 and 512; the reference loop is prefix-consistent,
+    # so one run of it serves every length
+    matrix = _joint_corpus_matrix(dim, kind)
+    columns = [matrix[:, j] for j in range(dim)]
+    for differencing in (True, False):
+        for min_history in (1, 7, 600):
+            for forgetting in (0.95, 0.999, 1.0):
+                config = JointConfig(
+                    forgetting=forgetting, differencing=differencing, min_history=min_history
+                )
+                expected = brute_joint(config, matrix)
+                for n in (0, 1, 2, 255, 256, 257, 513):
+                    data = _dataset(columns[0][:n], **{f"c{j}": c[:n] for j, c in enumerate(columns[1:])})
+                    got = run_joint(config, data).scores
+                    assert np.array_equal(got, expected[:n], equal_nan=True), (config, n)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize(
+    "config",
+    [JointConfig(), JointConfig(differencing=False, min_history=300), JointConfig(forgetting=0.95)],
+)
+def test_joint_update_loop_equals_run_joint(dim, config):
+    # update feeds the kernel blocks of one vector, run_joint blocks of 256
+    matrix = _joint_corpus_matrix(dim, "walk", n=600, seed=1)
+    scorer = JointScorer(config, dim=dim)
+    looped = np.array([scorer.update(row) for row in matrix])
+    data = _dataset(matrix[:, 0], **{f"c{j}": matrix[:, j] for j in range(1, dim)})
+    assert looped.tobytes() == run_joint(config, data).scores.tobytes()
+
+
+@pytest.mark.parametrize(
+    "ar_order, n_covariates",
+    [(ar, ncov) for ar in range(4) for ncov in range(4) if ar + ncov >= 1],
+)
+def test_run_conditional_equals_an_update_loop(ar_order, n_covariates):
+    rng = np.random.default_rng(31 + 4 * ar_order + n_covariates)
+    n = 300
+    covariates = np.cumsum(rng.standard_normal((n, n_covariates)), axis=0)
+    target = covariates.sum(axis=1) + np.cumsum(rng.standard_normal(n)) * 0.3
+    for covariate_lags in (0, 1, 2):
+        config = ConditionalConfig(ar_order=ar_order, covariate_lags=covariate_lags, forgetting=0.99)
+        scorer = ConditionalScorer(config, n_covariates=n_covariates)
+        looped = np.array([scorer.update(x, row) for x, row in zip(target, covariates)])
+        for length in (0, 1, 2, 5, n):
+            data = _dataset(
+                target[:length], **{f"c{c}": covariates[:length, c] for c in range(n_covariates)}
+            )
+            got = run_conditional(config, data).scores
+            assert got.tobytes() == looped[:length].tobytes(), (covariate_lags, length)
+
+
 def test_joint_distances_look_chi_distributed_on_gaussian_steps():
     rng = np.random.default_rng(26)
     walk = np.cumsum(rng.standard_normal((2000, 3)), axis=0)
@@ -248,6 +317,27 @@ class TestValidation:
             run_conditional(ConditionalConfig(), _dataset(x, y=y))
         with pytest.raises(InputError, match="resample"):
             run_joint(JointConfig(), _dataset(x, y=y))
+
+    @pytest.mark.parametrize("run, config", [
+        (run_conditional, ConditionalConfig()),
+        (run_joint, JointConfig()),
+    ])
+    @pytest.mark.parametrize("column", ["target", "covariate"])
+    def test_run_drivers_reject_non_finite_inputs(self, run, config, column):
+        x = np.ones(50)
+        y = np.arange(50.0)
+        (x if column == "target" else y)[30] = np.inf
+        with pytest.raises(InputError, match="infinities"):
+            _dataset(x, y=y)
+        # TimeSeries refuses infinities, so a stand-in carries them to the
+        # driver's own once-per-run check
+        stand_in = SimpleNamespace(
+            names=("y",),
+            target=SimpleNamespace(values=x),
+            covariates={"y": SimpleNamespace(values=y)},
+        )
+        with pytest.raises(InputError, match="scorer inputs must be finite"):
+            run(config, stand_in)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -256,6 +256,62 @@ def test_oracle_threshold_edge_cases():
     assert (np.array([0.1, 0.2, 5.0]) > thr).tolist() == [False, False, True]
 
 
+def oracle_fixed_threshold_scan(scores, labels):
+    """The former candidate loop: recount every point at each candidate."""
+    arr = np.asarray(scores, dtype=np.float64)
+    lab = np.asarray(labels)
+    finite = np.unique(arr[~np.isnan(arr)])
+    if finite.size == 0:
+        return np.inf, 0.0
+    candidates = np.concatenate([[np.nextafter(finite[0], -np.inf)],
+                                 (finite[:-1] + finite[1:]) / 2.0,
+                                 [finite[-1]]])
+    best_thr, best_f1 = np.inf, -1.0
+    positives = int(lab.sum())
+    for thr in candidates:
+        pred = np.nan_to_num(arr, nan=-np.inf) > thr
+        tp = int(np.sum(pred & (lab == 1)))
+        fp = int(np.sum(pred & (lab == 0)))
+        fn = positives - tp
+        if tp == 0 and fp == 0 and fn == 0:
+            f1 = 1.0
+        elif tp == 0:
+            f1 = 0.0
+        else:
+            f1 = 2.0 * tp / (2.0 * tp + fp + fn)
+        if f1 > best_f1:
+            best_thr, best_f1 = float(thr), f1
+    return best_thr, best_f1
+
+
+def _threshold_corpus():
+    rng = np.random.default_rng(41)
+    yield "ties", np.round(rng.normal(size=300), 1), (rng.random(300) < 0.2).astype(int)
+    spiked = rng.normal(size=200)
+    spiked[::7] = np.nan
+    yield "nans", spiked, (rng.random(200) < 0.1).astype(int)
+    yield "all_nan_but_one", np.array([np.nan, 2.0, np.nan]), np.array([1, 0, 1])
+    yield "all_negative", rng.normal(size=150), np.zeros(150, dtype=int)
+    yield "all_positive", np.round(rng.normal(size=150), 2), np.ones(150, dtype=int)
+    yield "bool_labels", rng.exponential(size=100), rng.random(100) < 0.3
+    yield "one_point", np.array([3.0]), np.array([1])
+    yield "constant", np.full(50, 1.5), (np.arange(50) % 5 == 0).astype(int)
+    yield "adjacent_floats", np.array([1.0, np.nextafter(1.0, 2.0), 1.0, 2.0]), np.array([0, 1, 1, 0])
+    yield "infinities", np.array([-np.inf, 0.0, np.inf, np.nan, 1.0]), np.array([0, 1, 1, 0, 1])
+    yield "huge", np.array([-1e308, 1e308, 1.7e308, 0.0]), np.array([0, 1, 1, 0])
+    n = 100_000  # a few hundred distinct scores keep the scan oracle quick
+    yield "1e5_points", np.round(rng.standard_t(3, size=n), 2), (rng.random(n) < 0.01).astype(int)
+
+
+@pytest.mark.parametrize("name, scores, labels", list(_threshold_corpus()))
+def test_oracle_threshold_equals_the_candidate_scan(name, scores, labels):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = oracle_fixed_threshold_scan(scores, labels)
+        got = oracle_fixed_threshold(scores, labels)
+    assert [type(v) for v in got] == [type(v) for v in expected]
+    assert np.array([got]).tobytes() == np.array([expected]).tobytes()
+
+
 @pytest.mark.parametrize("q", [0.123, 0.5, 0.9, 0.999])
 @pytest.mark.parametrize("horizon, reservoir_size", [(None, 4096), (None, 8), (1, 4096), (7, 4096), (40, 4096)])
 def test_trailing_percentile_equals_quantile_of_its_pool_at_every_step(q, horizon, reservoir_size):
