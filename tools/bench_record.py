@@ -55,7 +55,6 @@ def parse_args(argv=None):
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--skip-traced", action="store_true")
     parser.add_argument("--skip-gates", action="store_true")
     parser.add_argument("--skip-tier1", action="store_true")
     parser.add_argument("--merge", action="store_true", help="keep other workloads of an existing file")
@@ -196,17 +195,16 @@ def main(argv=None) -> int:
                 pairs.append(pair)
                 entry[f"seed{seed}"] = compare(pairs, spec["end_to_end"])
                 save()
-        if not args.skip_traced:
-            entry["traced"] = {}
-            for side in ("parent", "change"):
-                result = run(side, workload, args.seeds[0], 1)
-                entry["traced"][side] = {
-                    "seed": args.seeds[0],
-                    "layers": result["metrics"],
-                    "failed": result["failed"],
-                    "job_spans_self_ms": result["job_spans_self_ms"],
-                }
-                save()
+        entry["traced"] = {}
+        for side in ("parent", "change"):
+            result = run(side, workload, args.seeds[0], 1)
+            entry["traced"][side] = {
+                "seed": args.seeds[0],
+                "layers": result["metrics"],
+                "failed": result["failed"],
+                "job_spans_self_ms": result["job_spans_self_ms"],
+            }
+            save()
     if not args.skip_gates:
         record["gates"] = in_fresh_copy("change", "gates", gates)
         save()
