@@ -3,16 +3,17 @@
 Run from the repository root::
 
     python3 tools/bench_record.py --parent HEAD~1 --change HEAD --pr 6 \\
-        --scratch /tmp/tadkit-bench --seeds 1 2 --pairs 10
+        --scratch /tmp/tadkit-bench --seeds 1 2
 
 For every ``BENCHMARK.json`` workload (or those named with ``--workloads``)
-and every seed, ``perfbench/run.py --trace 0`` runs in parent/change pairs,
-alternating which side runs first.  Each run gets a fresh export of its
+and every seed, ``perfbench/run.py --trace 0`` runs in ``PAIRS``
+parent/change pairs, alternating which side runs first, each for the
+benchmark's ``run_seconds``.  Each run gets a fresh export of its
 commit under ``--scratch`` (``git archive``, so the repository and its
 ``.git`` are never touched), removed when the run ends.  One traced run per
 side and workload, at the first seed, gives the layers and the job's span
-self times.  Unless skipped, ``perfbench/gates.py`` (the C2/C4 margins) and
-the Tier-1 suite then run once in an export of the change.
+self times.  ``perfbench/gates.py`` (the C2/C4 margins) and the Tier-1 suite
+then run once in an export of the change.
 
 The file holds, per workload, seed and side, the median, quartiles and
 every run of each end-to-end metric, the failed/attempted counts, and how
@@ -43,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
+PAIRS = 10  # alternating parent/change pairs per workload and seed
 
 
 def parse_args(argv=None):
@@ -53,10 +55,6 @@ def parse_args(argv=None):
     parser.add_argument("--scratch", required=True, type=Path, help="directory for the per-run exports")
     parser.add_argument("--workloads", nargs="+", help="default: every BENCHMARK.json workload")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--skip-gates", action="store_true")
-    parser.add_argument("--skip-tier1", action="store_true")
     parser.add_argument("--merge", action="store_true", help="keep other workloads of an existing file")
     return parser.parse_args(argv)
 
@@ -158,7 +156,7 @@ def main(argv=None) -> int:
             "numpy": numpy.__version__,
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         },
-        "settings": {"seconds": args.seconds, "quartiles": "statistics.quantiles(n=4, method='inclusive')"},
+        "settings": {"seconds": spec["run_seconds"], "quartiles": "statistics.quantiles(n=4, method='inclusive')"},
     })
     record.setdefault("workloads", {})
 
@@ -177,17 +175,17 @@ def main(argv=None) -> int:
     record["src_lines"] = {side: in_fresh_copy(side, "lines", src_lines) for side in commits}
 
     def run(side: str, workload: str, seed: int, trace: int) -> dict:
-        result = in_fresh_copy(side, side, perfbench, workload, seed, args.seconds, trace)
+        result = in_fresh_copy(side, side, perfbench, workload, seed, spec["run_seconds"], trace)
         job = result["metrics"].get("job_s", result["metrics"].get("trace.job_s_traced"))
         print(f"{workload} seed {seed} {side} trace {trace}: job {job:.3f} s, failed {result['failed']}",
               file=sys.stderr, flush=True)
         return result
 
     for workload in workloads:
-        entry = record["workloads"][workload] = {"settings": {"seeds": args.seeds, "pairs": args.pairs}}
+        entry = record["workloads"][workload] = {"settings": {"seeds": args.seeds, "pairs": PAIRS}}
         for seed in args.seeds:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"first": order[0]}
                 for side in order:
@@ -205,12 +203,10 @@ def main(argv=None) -> int:
                 "job_spans_self_ms": result["job_spans_self_ms"],
             }
             save()
-    if not args.skip_gates:
-        record["gates"] = in_fresh_copy("change", "gates", gates)
-        save()
-    if not args.skip_tier1:
-        record["tier1"] = in_fresh_copy("change", "tier1", tier1)
-        save()
+    record["gates"] = in_fresh_copy("change", "gates", gates)
+    save()
+    record["tier1"] = in_fresh_copy("change", "tier1", tier1)
+    save()
     print(out_path)
     return 0
 
