@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -101,18 +102,50 @@ def _term_masks(
     return masks
 
 
-def _quality(
-    config: CohortMinerConfig, mask: np.ndarray, anomalous: np.ndarray, positives: int
-) -> float:
-    tp = int(np.sum(mask & anomalous))
-    if tp == 0:
-        return 0.0
-    covered = int(mask.sum())
-    precision = tp / covered
-    recall = tp / positives
-    if config.quality == "f1":
-        return 2 * precision * recall / (precision + recall)
-    return precision if recall >= config.min_recall else 0.0
+def _candidates(
+    attributes: Sequence[Mapping[str, str]],
+    schema: tuple[str, ...],
+    config: CohortMinerConfig,
+) -> tuple[list[tuple[tuple[str, str], ...]], np.ndarray, np.ndarray]:
+    """Every candidate rule's terms, its (candidates x series) 0/1 masks and coverage.
+
+    Candidates are ranked by term count, then terms, so a first maximum of
+    any score vector is the rule the ranking puts first.
+    """
+    masks = _term_masks(attributes, schema)
+    shapes = [attrs for depth in range(1, config.max_depth + 1)
+              for attrs in combinations(schema, depth)]
+    total = sum(prod(len(masks[a]) for a in attrs) for attrs in shapes)
+    if total > config.max_candidates:
+        raise SpecError(
+            f"{total} candidate rules exceed the guardrail of {config.max_candidates}; "
+            "reduce max_depth or pre-bin attributes coarser"
+        )
+    candidates = []
+    for attrs in shapes:
+        for values in product(*(sorted(masks[a]) for a in attrs)):
+            mask = masks[attrs[0]][values[0]]
+            for a, v in zip(attrs[1:], values[1:]):
+                mask = mask & masks[a][v]
+            candidates.append((len(attrs), tuple(zip(attrs, values)), mask))
+    candidates.sort(key=lambda c: c[:2])
+    table = np.array([mask for *_, mask in candidates], dtype=np.intp)
+    table = table.reshape(len(candidates), len(attributes))
+    return [terms for _, terms, _ in candidates], table, table.sum(axis=1)
+
+
+def _scores(
+    config: CohortMinerConfig, tp: np.ndarray, coverage: np.ndarray, positives: int
+) -> np.ndarray:
+    """Each candidate's quality from its true positives; 0 without one."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        precision = tp / coverage
+        recall = tp / positives
+        if config.quality == "f1":
+            score = 2 * precision * recall / (precision + recall)
+        else:
+            score = np.where(recall >= config.min_recall, precision, 0.0)
+    return np.where(tp > 0, score, 0.0)
 
 
 def mine_rules(
@@ -137,41 +170,11 @@ def mine_rules(
     positives = int(anom.sum())
     if positives == 0:
         return []
-
-    masks = _term_masks(attributes, schema)
-    sizes = {a: len(vals) for a, vals in masks.items()}
-    total = 0
-    for depth in range(1, config.max_depth + 1):
-        for attrs in combinations(schema, depth):
-            block = 1
-            for a in attrs:
-                block *= sizes[a]
-            total += block
-    if total > config.max_candidates:
-        raise SpecError(
-            f"{total} candidate rules exceed the guardrail of {config.max_candidates}; "
-            "reduce max_depth or pre-bin attributes coarser"
-        )
-
-    rules: list[Rule] = []
-    for depth in range(1, config.max_depth + 1):
-        for attrs in combinations(schema, depth):
-            value_lists = [sorted(masks[a]) for a in attrs]
-            for values in product(*value_lists):
-                mask = masks[attrs[0]][values[0]]
-                for a, v in zip(attrs[1:], values[1:]):
-                    mask = mask & masks[a][v]
-                score = _quality(config, mask, anom, positives)
-                if score >= config.min_score:
-                    rules.append(
-                        Rule(
-                            terms=tuple(zip(attrs, values)),
-                            score=score,
-                            coverage=int(mask.sum()),
-                        )
-                    )
-    rules.sort(key=lambda r: (-r.score, len(r.terms), r.terms))
-    return rules
+    terms, masks, coverage = _candidates(attributes, schema, config)
+    scores = _scores(config, masks @ anom, coverage, positives)
+    kept = np.flatnonzero(scores >= config.min_score)
+    kept = kept[np.argsort(-scores[kept], kind="stable")]
+    return [Rule(terms[i], float(scores[i]), int(coverage[i])) for i in kept]
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,10 @@ def mine_rules_over_time(
 
     ``anomaly_matrix`` is (series x time).  Timesteps with fewer than
     ``min_support`` anomalous series (or where no rule clears min_score)
-    produce no rule and break any open interval.
+    produce no rule and break any open interval.  Every config scores each
+    mined step against one candidate table built up front, one product of
+    its masks with the step's column, and keeps the first-ranked top rule:
+    the same rule as ``mine_rules(column, ...)[0]``.
     """
     config = config or CohortMinerConfig()
     if min_support < 1:
@@ -207,28 +213,32 @@ def mine_rules_over_time(
         return ()
     if matrix.ndim != 2:
         raise SpecError(f"anomaly matrix must be 2-D, got shape {matrix.shape}")
-    _check_schema(attributes)
+    schema = _check_schema(attributes)
     if matrix.shape[0] != len(attributes):
         raise SchemaError(
             f"matrix has {matrix.shape[0]} rows but {len(attributes)} attribute rows"
         )
 
+    steps = np.flatnonzero(matrix.sum(axis=0) >= min_support)
+    if steps.size == 0 or not schema:  # nothing to mine, or no rule to mine
+        return ()
+    terms, masks, coverage = _candidates(attributes, schema, config)
+    anomalous = matrix.astype(bool)
+    positives = anomalous.sum(axis=0)
     intervals: list[RuleInterval] = []
-    open_rule: Rule | None = None
-    open_start = 0
-    for t in range(matrix.shape[1]):
-        column = matrix[:, t]
-        top: Rule | None = None
-        if int(column.sum()) >= min_support:
-            ranked = mine_rules(column, attributes, config)
-            if ranked:
-                top = ranked[0]
-        if open_rule is not None and (top is None or top.terms != open_rule.terms):
-            intervals.append(RuleInterval(open_start, t, open_rule))
-            open_rule = None
-        if top is not None and open_rule is None:
-            open_rule = top
-            open_start = t
-    if open_rule is not None:
-        intervals.append(RuleInterval(open_start, matrix.shape[1], open_rule))
+    open_index: int | None = None
+    open_start = end = 0
+    for t in steps.tolist():
+        scores = _scores(config, masks @ anomalous[:, t], coverage, int(positives[t]))
+        best = int(np.argmax(scores))
+        top = best if scores[best] >= config.min_score else None
+        if open_index is not None and (t != end or top != open_index):
+            intervals.append(RuleInterval(open_start, end, open_rule))
+            open_index = None
+        if top is not None and open_index is None:
+            open_index, open_start = top, t
+            open_rule = Rule(terms[top], float(scores[top]), int(coverage[top]))
+        end = t + 1
+    if open_index is not None:
+        intervals.append(RuleInterval(open_start, end, open_rule))
     return tuple(intervals)

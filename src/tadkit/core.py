@@ -174,7 +174,7 @@ class LabelSequence:
         arr = np.asarray(self.labels)
         if arr.ndim != 1:
             raise InputError(f"labels must be one-dimensional, got shape {arr.shape}")
-        if arr.size and not np.isin(arr, (0, 1)).all():
+        if arr.size and not ((arr == 0) | (arr == 1)).all():
             raise InputError("labels must be 0 or 1")
         arr = arr.astype(np.int8).copy()
         arr.flags.writeable = False

@@ -254,39 +254,45 @@ class _SpectralResidualDetector(StreamingDetector):
 
 
 class _EwmaResidualDetector(StreamingDetector):
+    """Runs on floats, or on arrays of one lane per series of a shared grid given
+    ``maximum=np.maximum``: its branches hang on the step count alone."""
+
     def __init__(self, config: DetectorConfig):
         super().__init__(config)
-        self._mean: float | None = None
+        self._mean = None
         self._scale = 0.0
         self._resid_count = 0
         self._resid_sum = 0.0
         # one EW span's worth of residuals before the scale stands alone
         self._calibration = ceil(1.0 / config.alpha)
+        self._alpha = config.alpha
+        self._floor = config.scale_floor
 
     @property
     def warmup(self) -> int:
         return 1
 
-    def _score(self, x: float) -> float:
-        if self._mean is None:
+    def _score(self, x, maximum=max):
+        mean = self._mean
+        if mean is None:
             self._mean = x
             return MISSING
-        a = self.config.alpha
-        resid = x - self._mean
+        a = self._alpha
+        resid = x - mean
         r = abs(resid)
-        self._resid_count += 1
-        if self._resid_count <= self._calibration:
+        self._resid_count = count = self._resid_count + 1
+        if count <= self._calibration:
             # a scale estimated from a handful of residuals is one unlucky
             # draw away from making the ratio arbitrary, so the current
             # residual takes part in its own normalization at first; this
             # caps early scores at the step count instead of 1/floor
-            self._resid_sum += r
-            scale = self._resid_sum / self._resid_count
+            self._resid_sum = total = self._resid_sum + r
+            scale = total / count
         else:
             scale = self._scale
-        score = r / max(scale, self.config.scale_floor)
-        self._mean += a * resid
-        self._scale = r if self._resid_count == 1 else (1.0 - a) * self._scale + a * r
+        score = r / maximum(scale, self._floor)
+        self._mean = mean + a * resid
+        self._scale = r if count == 1 else (1.0 - a) * self._scale + a * r
         return score
 
 

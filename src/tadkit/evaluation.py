@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     AlignmentError,
+    InputError,
     LabelSequence,
     PopulationDataset,
     ProtocolError,
@@ -366,8 +367,42 @@ def run_population(
     threshold: ThresholdSpec,
     population: PopulationDataset,
 ) -> np.ndarray:
-    """Independent streaming decisions per series; rows follow input order."""
+    """Independent streaming decisions per series; rows follow input order.
+
+    A fixed-window ``ewma_residual`` detector under a ``fixed_value``,
+    ``k_sigma`` or ``feedback_adaptive`` threshold (a population gives no
+    feedback) steps all series at once as array lanes, bit for bit as one
+    series at a time.  Other configs score one series after another.
+    """
+    if (detector_config.method == "ewma_residual" and detector_config.window != "auto"
+            and threshold.kind != "trailing_percentile"):
+        pred = _lane_decisions(detector_config, threshold, population)
+        if pred is not None:
+            return pred
     rows = [
         _stream_decisions(detector_config, threshold, s)[0] for s in population.series
     ]
     return np.vstack(rows) if rows else np.zeros((0, 0), dtype=np.int8)
+
+
+def _lane_decisions(
+    detector_config: DetectorConfig, threshold: ThresholdSpec, population: PopulationDataset
+) -> np.ndarray | None:
+    """``_stream_decisions`` of every series, all series stepped together.
+
+    None when a score overflows, for one series at a time to refuse or skip.
+    """
+    values = np.array([s.values for s in population.series])
+    if np.isnan(values).any():
+        raise InputError("detectors need a gap-free series; resample first")
+    detector, thresholder = make_detector(detector_config), Thresholder(threshold)
+    thresholder._sqrt = np.sqrt  # its arithmetic on arrays
+    scores = np.zeros(values.shape[::-1])
+    pred = np.zeros(values.shape[::-1], dtype=np.int8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, column in enumerate(values.T):
+            scores[t] = score = detector._score(column, np.maximum)
+            if t >= detector.warmup:
+                pred[t] = score > thresholder.threshold
+                thresholder._absorb(score)
+    return np.ascontiguousarray(pred.T) if np.isfinite(scores[detector.warmup :]).all() else None

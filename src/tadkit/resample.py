@@ -97,14 +97,11 @@ def resample(events: EventStream, spec: ResampleSpec) -> TimeSeries:
     if spec.empty_bin_policy == "zero":
         out[~occupied] = 0.0
     elif spec.empty_bin_policy == "carry_forward":
-        gap = 0
-        for i in range(n_bins):
-            if occupied[i]:
-                gap = 0
-            else:
-                gap += 1
-                if gap <= spec.max_carry_bins:
-                    out[i] = out[i - 1]
+        # each bin's gap is its distance from the last occupied bin at or before it
+        index = np.arange(n_bins)
+        source = np.maximum.accumulate(np.where(occupied, index, 0))
+        carried = index - source <= spec.max_carry_bins
+        out[carried] = out[source[carried]]
 
     start = spec.bin_anchor + first_bin * spec.interval
     return TimeSeries(int(start), spec.interval, out)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from math import floor, inf, isnan
+from math import floor, inf, isnan, sqrt
 
 import numpy as np
 
@@ -95,10 +95,11 @@ class Thresholder:
         )
         self._sorted: list[float] = []  # the pool (window or reservoir), ascending
         self._percentile: float | None = None  # cached until the pool changes
-        # k_sigma state (Welford)
+        # k_sigma state (Welford); arrays of one lane per series once _sqrt is np.sqrt
         self._n = 0
         self._mean = 0.0
         self._m2 = 0.0
+        self._sqrt = sqrt
         # feedback_adaptive state
         self._adaptive = spec.value
 
@@ -121,7 +122,7 @@ class Thresholder:
         # k_sigma
         if self._n < 2:
             return np.inf
-        return self._mean + self.spec.k * float(np.sqrt(self._m2 / self._n))
+        return self._mean + self.spec.k * self._sqrt(self._m2 / self._n)
 
     def update(self, score: float) -> int:
         """Decide on one score, then absorb it into state.
@@ -254,9 +255,11 @@ def oracle_fixed_threshold(
     if finite.size == 0:
         return np.inf, 0.0
     # candidate thresholds: one just below each distinct score, plus one above all
-    candidates = np.concatenate([[np.nextafter(finite[0], -np.inf)],
-                                 (finite[:-1] + finite[1:]) / 2.0,
-                                 [finite[-1]]])
+    lo, hi = finite[:-1], finite[1:]
+    with np.errstate(over="ignore"):
+        mids = (lo + hi) / 2.0
+    mids = np.where(np.isinf(mids), lo / 2.0 + hi / 2.0, mids)  # where lo + hi overflowed
+    candidates = np.concatenate([[np.nextafter(finite[0], -np.inf)], mids, [finite[-1]]])
     positives = int(lab.sum())
     # rank the points once; those above a candidate are a suffix of the ranking
     ranked = np.nan_to_num(arr, nan=-np.inf).ravel()

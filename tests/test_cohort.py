@@ -256,3 +256,52 @@ class TestOverTime:
         with pytest.raises(SchemaError):
             mine_rules_over_time(np.zeros((3, 4)), self.attributes)
         assert mine_rules_over_time(np.zeros((0, 0)), self.attributes) == ()
+
+
+def timeline_oracle(matrix, attributes, config, min_support):
+    """The former loop: ``mine_rules(...)[0]`` at every step with enough support."""
+    intervals, open_rule, open_start = [], None, 0
+    for t in range(matrix.shape[1]):
+        column = matrix[:, t]
+        top = None
+        if int(column.sum()) >= min_support:
+            ranked = mine_rules(column, attributes, config)
+            top = ranked[0] if ranked else None
+        if open_rule is not None and (top is None or top.terms != open_rule.terms):
+            intervals.append(RuleInterval(open_start, t, open_rule))
+            open_rule = None
+        if top is not None and open_rule is None:
+            open_rule, open_start = top, t
+    if open_rule is not None:
+        intervals.append(RuleInterval(open_start, matrix.shape[1], open_rule))
+    return tuple(intervals)
+
+
+@pytest.mark.parametrize("quality", ["f1", "precision_at_min_recall"])
+@pytest.mark.parametrize("seed", range(6))
+def test_timeline_equals_a_per_step_mine_rules_loop(quality, seed):
+    rng = np.random.default_rng(seed)
+    # few series and few values make score ties between rules common
+    attributes = _fleet(rng, int(rng.integers(2, 25)),
+                        {"d": ("a", "b", "c"), "r": ("eu", "us"), "o": ("1", "2", "3", "4")})
+    matrix = (rng.random((len(attributes), 40)) < rng.uniform(0.05, 0.5)).astype(int)
+    for min_support in (1, 2, 4):
+        for max_depth, min_score in ((1, 1e-6), (2, 1e-6), (3, 0.4)):
+            config = CohortMinerConfig(max_depth=max_depth, min_score=min_score,
+                                       quality=quality, min_recall=0.4)
+            got = mine_rules_over_time(matrix, attributes, config, min_support)
+            expected = timeline_oracle(matrix, attributes, config, min_support)
+            assert got == expected
+            assert [iv.rule.score.hex() for iv in got] == [iv.rule.score.hex() for iv in expected]
+
+
+def test_timeline_guardrail_fires_only_when_a_step_is_mined():
+    rng = np.random.default_rng(35)
+    attributes = [{"u": str(rng.integers(200)), "v": str(rng.integers(200))} for _ in range(300)]
+    config = CohortMinerConfig(max_candidates=10_000)
+    matrix = np.zeros((300, 5), dtype=int)
+    matrix[:2, 3] = 1  # below min_support 3: nothing is mined, nothing is refused
+    assert mine_rules_over_time(matrix, attributes, config, min_support=3) == ()
+    matrix[:3, 4] = 1
+    with pytest.raises(SpecError, match="guardrail"):
+        mine_rules_over_time(matrix, attributes, config, min_support=3)

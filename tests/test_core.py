@@ -71,6 +71,30 @@ def test_label_sequence_validation():
         LabelSequence(np.array([0, 2]))
 
 
+@pytest.mark.parametrize(
+    "labels, valid",
+    [
+        (np.array([True, False]), True),
+        (np.array([0.0, 1.0]), True),
+        (np.array([0.0, 0.5]), False),
+        (np.array([1.0, np.nan]), False),
+        (np.array([0, 2], dtype=np.uint8), False),
+        (np.array(["0", "1"]), False),
+        (np.array([0, 1], dtype=object), True),
+        (np.array([True, 0.0], dtype=object), True),
+        (np.array(["0", 1], dtype=object), False),
+    ],
+    ids=["bool", "float", "half", "nan", "uint8_two", "strings", "object", "object_mixed",
+         "object_string"],
+)
+def test_label_sequence_accepts_exactly_zero_and_one(labels, valid):
+    if valid:
+        assert LabelSequence(labels).labels.tolist() == [int(v) for v in labels]
+    else:
+        with pytest.raises(InputError):
+            LabelSequence(labels)
+
+
 def test_score_sequence_warmup_discipline():
     ScoreSequence(np.array([np.nan, np.nan, 1.0]), warmup=2)
     with pytest.raises(InputError):

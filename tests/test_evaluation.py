@@ -5,6 +5,7 @@ import pytest
 
 from tadkit.core import (
     AlignmentError,
+    InputError,
     LabelSequence,
     PopulationDataset,
     ProtocolError,
@@ -341,3 +342,71 @@ def test_population_rows_match_independent_runs():
         thr = Thresholder(spec)
         expected = [thr.update(float(s)) for s in scores.scores]
         assert row.tolist() == expected
+
+
+def population_oracle(config, spec, population):
+    """One series at a time: a streaming run, then one ``Thresholder.update`` per score."""
+    rows = []
+    for member in population.series:
+        thresholder = Thresholder(spec)
+        rows.append([thresholder.update(float(s)) for s in run_streaming(config, member).scores])
+    return np.array(rows, dtype=np.int8).reshape(population.n_series, population.n_points)
+
+
+def _population(rows):
+    return PopulationDataset(
+        series=tuple(_series(r) for r in rows), attributes=tuple({"g": "x"} for _ in rows)
+    )
+
+
+_LANE_SPECS = [
+    ThresholdSpec(kind="k_sigma", k=2.0),
+    ThresholdSpec(kind="fixed_value", value=1.5),
+    ThresholdSpec(kind="feedback_adaptive", value=2.5),
+]
+
+
+@pytest.mark.parametrize("spec", _LANE_SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize(
+    "config",
+    [
+        DetectorConfig(method="ewma_residual"),
+        DetectorConfig(method="ewma_residual", alpha=1.0),
+        DetectorConfig(method="ewma_residual", alpha=0.005),  # calibration outlasts the series
+        DetectorConfig(method="ewma_residual", alpha=0.3, scale_floor=0.8),  # the floor binds
+    ],
+    ids=["default", "alpha_one", "long_calibration", "scale_floor"],
+)
+@pytest.mark.parametrize("shape", [(5, 120), (1, 60), (4, 2), (3, 1), (2, 0)])
+def test_population_lanes_equal_one_series_at_a_time(config, spec, shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    rows = rng.normal(size=shape).cumsum(axis=1)
+    rows[rows.shape[0] // 2 :, : shape[1] // 2] = 3.0  # constant stretches
+    if shape[0] > 1:
+        rows[0] = -1.25  # a constant member
+    population = _population(rows)
+    got = run_population(config, spec, population)
+    assert got.dtype == np.int8 and got.flags.c_contiguous
+    assert got.tobytes() == population_oracle(config, spec, population).tobytes()
+
+
+def test_population_lanes_leave_overflowing_scores_to_the_per_series_path():
+    config, spec = DetectorConfig(method="ewma_residual"), ThresholdSpec(kind="k_sigma")
+    # every score of the first member overflows to NaN, so it decides 0 throughout
+    population = _population([[1e308, -1e308] * 20, np.linspace(0.0, 4.0, 40) ** 2])
+    assert run_population(config, spec, population).tobytes() == (
+        population_oracle(config, spec, population).tobytes()
+    )
+    # a jump off a flat stretch scores past the float range after the warmup
+    jump = _population([np.zeros(40), np.r_[np.zeros(30), np.full(10, 1e300)]])
+    with pytest.raises(InputError, match="finite"):
+        population_oracle(config, spec, jump)
+    with pytest.raises(InputError, match="finite"):
+        run_population(config, spec, jump)
+
+
+def test_population_lanes_refuse_gaps_as_one_series_does():
+    gappy = _population([np.arange(6.0), [0.0, 1.0, np.nan, 3.0, 4.0, 5.0]])
+    for spec in (ThresholdSpec(kind="k_sigma"), ThresholdSpec()):  # lanes, then per series
+        with pytest.raises(InputError, match="gap-free"):
+            run_population(DetectorConfig(method="ewma_residual"), spec, gappy)

@@ -145,14 +145,18 @@ def test_matches_brute_force(events, spec):
 
 
 @settings(max_examples=60, deadline=None)
-@given(events=event_streams, anchor=st.integers(min_value=-90, max_value=90))
-def test_carry_forward_matches_brute_force(events, anchor):
-    spec = ResampleSpec(
-        interval=60, empty_bin_policy="carry_forward", max_carry_bins=2, bin_anchor=anchor
-    )
-    got = resample(events, spec)
-    _, expected = brute_resample(events, spec)
-    assert np.array_equal(got.values, np.array(expected), equal_nan=True)
+@given(events=event_streams, anchor=st.integers(min_value=-90, max_value=90),
+       interval=st.sampled_from([7, 60]))
+def test_carry_forward_matches_brute_force(events, anchor, interval):
+    # 1,000 bins is longer than any gap the drawn streams can leave
+    for max_carry_bins in (0, 1, 2, 3, 1000):
+        spec = ResampleSpec(
+            interval=interval, empty_bin_policy="carry_forward",
+            max_carry_bins=max_carry_bins, bin_anchor=anchor,
+        )
+        got = resample(events, spec)
+        _, expected = brute_resample(events, spec)
+        assert np.array_equal(got.values, np.array(expected), equal_nan=True)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@
 
 import pickle
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,15 @@ def test_oracle_threshold_edge_cases():
     assert (np.array([0.1, 0.2, 5.0]) > thr).tolist() == [False, False, True]
 
 
+def test_oracle_threshold_separates_scores_whose_sum_overflows():
+    scores = np.array([1e308, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        thr, f1 = oracle_fixed_threshold(scores, np.array([0, 1]))
+    assert f1 == 1.0
+    assert np.isfinite(thr) and 1e308 < thr < 1.7e308
+
+
 def oracle_fixed_threshold_scan(scores, labels):
     """The former candidate loop: recount every point at each candidate."""
     arr = np.asarray(scores, dtype=np.float64)
@@ -263,9 +273,10 @@ def oracle_fixed_threshold_scan(scores, labels):
     finite = np.unique(arr[~np.isnan(arr)])
     if finite.size == 0:
         return np.inf, 0.0
-    candidates = np.concatenate([[np.nextafter(finite[0], -np.inf)],
-                                 (finite[:-1] + finite[1:]) / 2.0,
-                                 [finite[-1]]])
+    with np.errstate(over="ignore"):
+        mids = (finite[:-1] + finite[1:]) / 2.0
+    mids = np.where(np.isinf(mids), finite[:-1] / 2.0 + finite[1:] / 2.0, mids)
+    candidates = np.concatenate([[np.nextafter(finite[0], -np.inf)], mids, [finite[-1]]])
     best_thr, best_f1 = np.inf, -1.0
     positives = int(lab.sum())
     for thr in candidates:
