@@ -15,6 +15,7 @@ from tadkit.cli import (
     TASK_PARAMS,
     ExperimentConfig,
     _classify,
+    _load_label_file,
     _parse_float,
     _parse_timestamp,
     _read_rows,
@@ -29,6 +30,7 @@ from tadkit.cli import (
     write_series_csv,
 )
 from tadkit.core import (
+    AlignmentError,
     CovariateSet,
     EventStream,
     FormatError,
@@ -464,6 +466,124 @@ def test_matrix_loader_matches_the_per_row_oracle(tmp_path, name, text):
     assert got[0] == expected[0]
     assert got[1].dtype == expected[1].dtype and got[1].shape == expected[1].shape
     assert got[1].tobytes() == expected[1].tobytes()
+
+
+def oracle_load_label_file(path, series):
+    path = Path(path)
+    rows = _read_rows(path)
+    if not rows:
+        raise FormatError(f"{path}: empty file; expected header 'timestamp,label'")
+    header = [cell.strip().lower() for cell in rows[0]]
+    if header != ["timestamp", "label"]:
+        raise FormatError(f"{path}: expected header 'timestamp,label', got {','.join(rows[0])!r}")
+    stamps, bits = [], []
+    for line_no, row in enumerate(rows[1:], start=2):
+        where = f"{path} line {line_no}"
+        if len(row) != 2:
+            raise FormatError(f"{where}: expected 2 fields, got {len(row)}")
+        stamps.append(_parse_timestamp(row[0], where))
+        if row[1].strip() not in ("0", "1"):
+            raise FormatError(f"{where}: label must be 0 or 1, got {row[1]!r}")
+        bits.append(int(row[1]))
+    if len(bits) != len(series) or not np.array_equal(
+        np.asarray(stamps, dtype=np.int64), series.timestamps()
+    ):
+        raise AlignmentError(
+            f"{path}: label timestamps do not match the series grid "
+            f"({len(bits)} labels for {len(series)} points)"
+        )
+    return LabelSequence(np.asarray(bits, dtype=np.int8))
+
+
+_ISO_START = 1767312000  # 2026-01-02T00:00:00Z
+
+
+def _label_file_corpus():
+    """(name, text, start of the three-point, 60 s series the labels belong to)."""
+    yield "plain", "timestamp,label\n0,0\n60,1\n120,0\n", 0
+    yield "whitespace", " Timestamp , LABEL \n 0 , 1 \n\t60\t,0\n120, 0\n", 0
+    yield "iso", "timestamp,label\n2026-01-02T00:00:00Z,1\n2026-01-02T01:01:00+01:00,0\n1767312120,1\n", _ISO_START
+    yield "iso_bad_label", "timestamp,label\n2026-01-02T00:00:00Z,1\n2026-01-02T00:01:00Z,x\n", _ISO_START
+    yield "subsecond", "timestamp,label\n0,0\n2026-01-02T00:00:00.5Z,1\n", 0
+    yield "bad_timestamp", "timestamp,label\n0,0\n1.5,1\n120,0\n", 0
+    yield "overflowing_timestamp", "timestamp,label\n0,0\n99999999999999999999,1\n120,0\n", 0
+    yield "overflow_then_bad_label", "timestamp,label\n99999999999999999999,0\n60,7\n", 0
+    yield "bad_label", "timestamp,label\n0,0\n60,2\n120,0\n", 0
+    yield "empty_label", "timestamp,label\n0,0\n60,\n120,1\n", 0
+    yield "signed_label", "timestamp,label\n0,+1\n60,0\n120,0\n", 0
+    yield "leading_zero_label", "timestamp,label\n0,01\n60,0\n120,0\n", 0
+    yield "short_row", "timestamp,label\n0,0\n60\n120,0\n", 0
+    yield "long_row", "timestamp,label\n0,0\n60,1,1\n120,0\n", 0
+    yield "blank_lines", "timestamp,label\n\n0,0\n , \n60,1\n\n120,0\n", 0
+    yield "misaligned", "timestamp,label\n0,0\n60,1\n180,0\n", 0
+    yield "too_few", "timestamp,label\n0,0\n60,1\n", 0
+    yield "header_only", "timestamp,label\n", 0
+    yield "empty", "", 0
+    yield "wrong_header", "time,label\n0,0\n", 0
+    yield "value_header", "timestamp,value\n0,0\n", 0
+
+
+@pytest.mark.parametrize("name, text, start", list(_label_file_corpus()))
+def test_label_file_loader_matches_the_per_row_oracle(tmp_path, name, text, start):
+    path = _write(tmp_path / f"{name}.csv", text)
+    series = TimeSeries(start, 60, np.array([1.0, 2.0, 3.0]))
+    expected = _outcome(lambda p: oracle_load_label_file(p, series), path)
+    got = _outcome(lambda p: _load_label_file(p, series), path)
+    if _assert_same_outcome(got, expected):
+        return
+    assert got.labels.tobytes() == expected.labels.tobytes()
+
+
+def oracle_load_attributes_csv(path):
+    path = Path(path)
+    rows = _read_rows(path)
+    if not rows:
+        raise FormatError(f"{path}: empty file; expected header 'series_id,<attr>,...'")
+    header = [cell.strip() for cell in rows[0]]
+    if header[0] != "series_id" or len(header) < 2:
+        raise FormatError(
+            f"{path}: expected header 'series_id,<attr>,...', got {','.join(rows[0])!r}"
+        )
+    if len(rows) == 1:
+        raise FormatError(f"{path}: no data rows")
+    names = header[1:]
+    ids, seen, attributes = [], set(), []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise FormatError(f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}")
+        sid = row[0].strip()
+        if sid in seen:
+            raise FormatError(f"{path} line {line_no}: duplicate series_id {sid!r}")
+        seen.add(sid)
+        ids.append(sid)
+        attributes.append({name: row[i + 1].strip() for i, name in enumerate(names)})
+    return ids, attributes
+
+
+def _attributes_corpus():
+    yield "plain", "series_id,device,region\ns0,a,eu\ns1,b,us\n"
+    yield "whitespace", " series_id , device \n s0 , a \n\ts1\t,b \n"
+    yield "empty_cells", "series_id,device,region\ns0,,eu\n,b,\n"
+    yield "short_row", "series_id,device,region\ns0,a,eu\ns1,b\n"
+    yield "long_row", "series_id,device\ns0,a\ns1,b,c\n"
+    yield "blank_lines", "series_id,device\n\ns0,a\n , \ns1,b\n\n"
+    yield "duplicate_ids", "series_id,device\ns0,a\ns1,b\n s0 ,c\n"
+    yield "duplicate_before_ragged_row", "series_id,device\ns0,a\ns0,b\ns1\n"
+    yield "ragged_before_duplicate", "series_id,device\ns0,a\ns1\ns0,b\n"
+    yield "header_only", "series_id,device\n"
+    yield "id_column_only", "series_id\ns0\n"
+    yield "empty", ""
+    yield "wrong_header", "id,device\ns0,a\n"
+
+
+@pytest.mark.parametrize("name, text", list(_attributes_corpus()))
+def test_attributes_loader_matches_the_per_row_oracle(tmp_path, name, text):
+    path = _write(tmp_path / f"{name}.csv", text)
+    expected = _outcome(oracle_load_attributes_csv, path)
+    got = _outcome(load_attributes_csv, path)
+    if _assert_same_outcome(got, expected):
+        return
+    assert got == expected
 
 
 def oracle_write_series(path, timestamps, values, labels=None):
