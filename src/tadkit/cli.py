@@ -130,77 +130,111 @@ def _read_rows(path) -> list[list[str]]:
     return rows
 
 
-# Each loader parses whole columns first: one comprehension per column through
-# the builtins the per-row parse uses, straight into an array.  When a row has
-# the wrong width or a cell does not parse, the loader reruns its per-row
-# parse, the only place that words a FormatError, so messages and line
-# numbers name the first bad row.  ISO timestamps also take that path.
+def _table(
+    path: Path, accept: Callable[[list[str]], bool], expected: str, named: str | None = None, *,
+    need_data: bool = True,
+) -> tuple[list[list[str]], list[str]]:
+    """The non-blank rows of ``path`` and its stripped header, after the checks
+    every loader shares.
 
+    ``accept`` judges the stripped header.  Error messages name ``expected``
+    as the header wanted; ``named``, when given, words it instead where a
+    wrong header is shown.  A header without data rows is an error unless
+    ``need_data`` is false.
+    """
+    rows = _read_rows(path)
+    if not rows:
+        raise FormatError(f"{path}: empty file; expected header {expected!r}")
+    header = [cell.strip() for cell in rows[0]]
+    if not accept(header):
+        wanted = named if named is not None else repr(expected)
+        raise FormatError(f"{path}: expected header {wanted}, got {','.join(rows[0])!r}")
+    if need_data and len(rows) == 1:
+        raise FormatError(f"{path}: no data rows")
+    return rows, header
+
+
+# A cell kind is ``(kind, name)``: "timestamp" parses to int64 epoch seconds,
+# "float" to float64, "bit" to int8 0 or 1 and "id" to a stripped string;
+# ``name`` is how an error message calls the column.
+_TIMESTAMP = ("timestamp", "timestamp")
+_ID = ("id", "series_id")
 _BITS = frozenset({"0", "1"})
+_DTYPES = {"timestamp": np.int64, "float": np.float64, "bit": np.int8}
 
 
-def _column(rows: list[list[str]], j: int, parse: Callable[[str], Any]) -> list:
-    """``parse`` of field ``j`` of every data row (``rows[0]`` is the header)."""
-    return [parse(row[j]) for row in islice(rows, 1, None)]
+def _load_columns(path: Path, rows: list[list[str]], kinds: list[tuple[str, str]]) -> list:
+    """The data rows of ``rows`` (``rows[0]`` is the header), one column per kind.
+
+    Timestamp, float and bit columns come back as arrays, id columns as lists.
+    Whole columns parse first: one comprehension per column through the
+    builtins the per-row parse uses, straight into an array.  When a row has
+    the wrong width or a cell does not parse, :func:`_parsed_rows` parses the
+    rows again one at a time, so messages and line numbers name the first
+    bad row.  ISO timestamps also take that path.
+    """
+    data = rows[1:]
+    try:
+        if set(map(len, rows)) != {len(kinds)}:
+            raise ValueError("ragged rows")
+        columns: list = []
+        for j, (kind, _) in enumerate(kinds):
+            if kind == "timestamp":
+                columns.append(np.array([int(row[j]) for row in data], dtype=np.int64))
+            elif kind == "float":
+                columns.append(np.array([float(row[j]) for row in data]))
+            else:
+                cells = [row[j].strip() for row in data]
+                if kind == "bit":
+                    if not _BITS.issuperset(cells):
+                        raise ValueError("not a bit")
+                    # one ASCII digit per cell: its byte minus b"0" is its bit
+                    cells = np.frombuffer("".join(cells).encode(), dtype=np.int8) - ord("0")
+                columns.append(cells)
+        return columns
+    except (ValueError, OverflowError):
+        # this parse raises unless the fast one met ISO timestamps, so there are rows to zip
+        columns = zip(*(values for _, values in _parsed_rows(path, rows, kinds)))
+    return [
+        list(c) if kind == "id" else np.array(c, dtype=_DTYPES[kind]) for c, (kind, _) in zip(columns, kinds)
+    ]
 
 
-def _bits(cells: list[str]) -> np.ndarray:
-    """Stripped ``cells`` as int8; ``ValueError`` unless each is "0" or "1"."""
-    if not _BITS.issuperset(cells):
-        raise ValueError("not a bit")
-    return np.fromiter(map(int, cells), dtype=np.int8, count=len(cells))
+def _parsed_rows(path: Path, rows: list[list[str]], kinds: list[tuple[str, str]]):
+    """Yield ``(where, values)`` per data row, parsed cell by cell.
 
-
-def _check_width(rows: list[list[str]], width: int) -> None:
-    """``ValueError`` unless every row, the header included, has ``width`` fields."""
-    if set(map(len, rows)) != {width}:
-        raise ValueError("ragged rows")
+    The only place a loader words a width, timestamp, float or bit
+    FormatError; ``where`` names the file and line.
+    """
+    for line_no, row in enumerate(islice(rows, 1, None), start=2):
+        where = f"{path} line {line_no}"
+        if len(row) != len(kinds):
+            raise FormatError(f"{where}: expected {len(kinds)} fields, got {len(row)}")
+        values = []
+        for (kind, name), cell in zip(kinds, row):
+            if kind == "timestamp":
+                values.append(_parse_timestamp(cell, where))
+            elif kind == "float":
+                values.append(_parse_float(cell, where, name))
+            elif kind == "id":
+                values.append(cell.strip())
+            elif cell.strip() in _BITS:
+                values.append(int(cell))
+            else:
+                raise FormatError(f"{where}: {name} must be 0 or 1, got {cell!r}")
+        yield where, values
 
 
 def load_labeled_csv(path) -> tuple[TimeSeries | EventStream, LabelSequence | None]:
     """Like :func:`load_series_csv`, also returning the label column if present."""
     path = Path(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise FormatError(f"{path}: empty file; expected header 'timestamp,value[,label]'")
-    header = [cell.strip().lower() for cell in rows[0]]
-    if header not in (["timestamp", "value"], ["timestamp", "value", "label"]):
-        raise FormatError(
-            f"{path}: expected header 'timestamp,value' or 'timestamp,value,label', "
-            f"got {','.join(rows[0])!r}"
-        )
-    if len(rows) == 1:
-        raise FormatError(f"{path}: no data rows")
-    has_label = len(header) == 3
-    try:
-        _check_width(rows, len(header))
-        timestamps = np.array(_column(rows, 0, int), dtype=np.int64)
-        values = np.array(_column(rows, 1, float))
-        labels = _bits(_column(rows, 2, str.strip)) if has_label else None
-    except (ValueError, OverflowError):
-        timestamps, values, labels = _labeled_rows(path, rows, has_label)
-    series = _classify(np.asarray(timestamps, dtype=np.int64), np.asarray(values))
-    label_seq = LabelSequence(np.asarray(labels, dtype=np.int8)) if has_label else None
-    return series, label_seq
-
-
-def _labeled_rows(path: Path, rows: list[list[str]], has_label: bool) -> tuple[list, list, list]:
-    """The per-row parse behind :func:`load_labeled_csv`."""
-    width = 3 if has_label else 2
-    timestamps: list[int] = []
-    values: list[float] = []
-    labels: list[int] = []
-    for line_no, row in enumerate(islice(rows, 1, None), start=2):
-        where = f"{path} line {line_no}"
-        if len(row) != width:
-            raise FormatError(f"{where}: expected {width} fields, got {len(row)}")
-        timestamps.append(_parse_timestamp(row[0], where))
-        values.append(_parse_float(row[1], where, "value"))
-        if has_label:
-            if row[2].strip() not in ("0", "1"):
-                raise FormatError(f"{where}: label must be 0 or 1, got {row[2]!r}")
-            labels.append(int(row[2]))
-    return timestamps, values, labels
+    rows, header = _table(
+        path, lambda h: [c.lower() for c in h] in (["timestamp", "value"], ["timestamp", "value", "label"]),
+        "timestamp,value[,label]", "'timestamp,value' or 'timestamp,value,label'",
+    )
+    kinds = [_TIMESTAMP, ("float", "value"), ("bit", "label")][: len(header)]
+    timestamps, values, *labels = _load_columns(path, rows, kinds)
+    return _classify(timestamps, values), LabelSequence(labels[0]) if labels else None
 
 
 def load_series_csv(path) -> TimeSeries | EventStream:
@@ -260,72 +294,21 @@ def _write_columns(path, header: list[str], columns: list[list]) -> None:
 def load_attributes_csv(path) -> tuple[list[str], list[dict[str, str]]]:
     """Read ``series_id,attr1,attr2,...`` rows into per-series attribute dicts."""
     path = Path(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise FormatError(f"{path}: empty file; expected header 'series_id,<attr>,...'")
-    header = [cell.strip() for cell in rows[0]]
-    if header[0] != "series_id" or len(header) < 2:
-        raise FormatError(
-            f"{path}: expected header 'series_id,<attr>,...', got {','.join(rows[0])!r}"
-        )
-    if len(rows) == 1:
-        raise FormatError(f"{path}: no data rows")
-    names = header[1:]
-    ids: list[str] = []
-    seen: set[str] = set()
-    attributes: list[dict[str, str]] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise FormatError(f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}")
-        sid = row[0].strip()
-        if sid in seen:
-            raise FormatError(f"{path} line {line_no}: duplicate series_id {sid!r}")
-        seen.add(sid)
-        ids.append(sid)
-        attributes.append({name: row[i + 1].strip() for i, name in enumerate(names)})
-    return ids, attributes
+    rows, header = _table(path, lambda h: h[0] == "series_id" and len(h) >= 2, "series_id,<attr>,...")
+    attributes: dict[str, dict[str, str]] = {}
+    for where, (sid, *cells) in _parsed_rows(path, rows, [_ID] * len(header)):
+        if sid in attributes:
+            raise FormatError(f"{where}: duplicate series_id {sid!r}")
+        attributes[sid] = dict(zip(header[1:], cells))
+    return list(attributes), list(attributes.values())
 
 
 def load_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a 0/1 anomaly matrix: ``series_id,<t0>,<t1>,...`` rows."""
     path = Path(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise FormatError(f"{path}: empty file; expected header 'series_id,<t0>,...'")
-    header = [cell.strip() for cell in rows[0]]
-    if header[0] != "series_id" or len(header) < 2:
-        raise FormatError(
-            f"{path}: expected header 'series_id,<t0>,...', got {','.join(rows[0])!r}"
-        )
-    if len(rows) == 1:
-        raise FormatError(f"{path}: no data rows")
-    try:
-        _check_width(rows, len(header))
-        ids = _column(rows, 0, str.strip)
-        # row by row: one flat list of every cell would raise the peak memory
-        bits = np.empty((len(ids), len(header) - 1), dtype=np.int8)
-        for out, row in zip(bits, islice(rows, 1, None)):
-            out[:] = _bits([cell.strip() for cell in islice(row, 1, None)])
-    except ValueError:
-        ids, bits = _matrix_rows(path, rows, len(header))
-    return ids, np.asarray(bits, dtype=np.int8)
-
-
-def _matrix_rows(path: Path, rows: list[list[str]], width: int) -> tuple[list[str], list[list[int]]]:
-    """The per-row parse behind :func:`load_matrix_csv`."""
-    ids: list[str] = []
-    bits: list[list[int]] = []
-    for line_no, row in enumerate(islice(rows, 1, None), start=2):
-        if len(row) != width:
-            raise FormatError(f"{path} line {line_no}: expected {width} fields, got {len(row)}")
-        ids.append(row[0].strip())
-        line_bits = []
-        for cell in row[1:]:
-            if cell.strip() not in ("0", "1"):
-                raise FormatError(f"{path} line {line_no}: cells must be 0 or 1, got {cell!r}")
-            line_bits.append(int(cell))
-        bits.append(line_bits)
-    return ids, bits
+    rows, header = _table(path, lambda h: h[0] == "series_id" and len(h) >= 2, "series_id,<t0>,...")
+    ids, *bits = _load_columns(path, rows, [_ID] + [("bit", "cells")] * (len(header) - 1))
+    return ids, np.column_stack(bits)
 
 
 def load_covariates_csv(path, target: str | None = None) -> CovariateSet:
@@ -335,52 +318,22 @@ def load_covariates_csv(path, target: str | None = None) -> CovariateSet:
     column); every other column becomes a covariate.
     """
     path = Path(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise FormatError(f"{path}: empty file; expected header 'timestamp,<col>,...'")
-    header = [cell.strip() for cell in rows[0]]
-    if header[0].lower() != "timestamp" or len(header) < 2:
-        raise FormatError(
-            f"{path}: expected header 'timestamp,<col>,...', got {','.join(rows[0])!r}"
-        )
-    if len(rows) == 1:
-        raise FormatError(f"{path}: no data rows")
+    rows, header = _table(
+        path, lambda h: h[0].lower() == "timestamp" and len(h) >= 2, "timestamp,<col>,..."
+    )
     names = header[1:]
     if len(set(names)) != len(names):
         raise FormatError(f"{path}: duplicate column names in header")
     target = target if target is not None else names[0]
     if target not in names:
         raise SchemaError(f"target column {target!r} not in {names}")
-    try:
-        _check_width(rows, len(header))
-        timestamps = np.array(_column(rows, 0, int), dtype=np.int64)
-        columns = {name: np.array(_column(rows, j, float)) for j, name in enumerate(names, start=1)}
-    except (ValueError, OverflowError):
-        timestamps, columns = _covariate_rows(path, rows, names)
-    shaped = _classify(np.asarray(timestamps, dtype=np.int64), np.asarray(columns[target]))
+    timestamps, *values = _load_columns(path, rows, [_TIMESTAMP] + [("float", name) for name in names])
+    columns = dict(zip(names, values))
+    shaped = _classify(timestamps, columns[target])
     if not isinstance(shaped, TimeSeries):
         raise InputError(f"{path}: conditional scoring needs a regular grid; resample first")
-    covariates = {
-        name: shaped.with_values(np.asarray(columns[name]))
-        for name in names
-        if name != target
-    }
+    covariates = {name: shaped.with_values(columns[name]) for name in names if name != target}
     return CovariateSet(target=shaped, covariates=covariates)
-
-
-def _covariate_rows(path: Path, rows: list[list[str]], names: list[str]) -> tuple[list, dict]:
-    """The per-row parse behind :func:`load_covariates_csv`."""
-    width = len(names) + 1
-    timestamps: list[int] = []
-    columns: dict[str, list[float]] = {name: [] for name in names}
-    for line_no, row in enumerate(islice(rows, 1, None), start=2):
-        where = f"{path} line {line_no}"
-        if len(row) != width:
-            raise FormatError(f"{where}: expected {width} fields, got {len(row)}")
-        timestamps.append(_parse_timestamp(row[0], where))
-        for name, cell in zip(names, row[1:]):
-            columns[name].append(_parse_float(cell, where, name))
-    return timestamps, columns
 
 
 # ---------------------------------------------------------------------------
@@ -517,41 +470,17 @@ def _load_regular(path) -> tuple[TimeSeries, LabelSequence | None]:
 
 def _load_label_file(path, series: TimeSeries) -> LabelSequence:
     path = Path(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise FormatError(f"{path}: empty file; expected header 'timestamp,label'")
-    header = [cell.strip().lower() for cell in rows[0]]
-    if header != ["timestamp", "label"]:
-        raise FormatError(f"{path}: expected header 'timestamp,label', got {','.join(rows[0])!r}")
-    try:
-        _check_width(rows, 2)
-        stamps = np.array(_column(rows, 0, int), dtype=np.int64)
-        bits = _bits(_column(rows, 1, str.strip))
-    except (ValueError, OverflowError):
-        stamps, bits = _label_file_rows(path, rows)
-    if len(bits) != len(series) or not np.array_equal(
-        np.asarray(stamps, dtype=np.int64), _timestamps(series)
-    ):
+    # a header alone is zero labels, which the grid check below reports
+    rows, _ = _table(
+        path, lambda h: [c.lower() for c in h] == ["timestamp", "label"], "timestamp,label", need_data=False
+    )
+    stamps, bits = _load_columns(path, rows, [_TIMESTAMP, ("bit", "label")])
+    if len(bits) != len(series) or not np.array_equal(stamps, _timestamps(series)):
         raise AlignmentError(
             f"{path}: label timestamps do not match the series grid "
             f"({len(bits)} labels for {len(series)} points)"
         )
-    return LabelSequence(np.asarray(bits, dtype=np.int8))
-
-
-def _label_file_rows(path: Path, rows: list[list[str]]) -> tuple[list[int], list[int]]:
-    """The per-row parse behind :func:`_load_label_file`."""
-    stamps: list[int] = []
-    bits: list[int] = []
-    for line_no, row in enumerate(islice(rows, 1, None), start=2):
-        where = f"{path} line {line_no}"
-        if len(row) != 2:
-            raise FormatError(f"{where}: expected 2 fields, got {len(row)}")
-        stamps.append(_parse_timestamp(row[0], where))
-        if row[1].strip() not in ("0", "1"):
-            raise FormatError(f"{where}: label must be 0 or 1, got {row[1]!r}")
-        bits.append(int(row[1]))
-    return stamps, bits
+    return LabelSequence(bits)
 
 
 def _resolve_labels(p: Mapping[str, Any], series: TimeSeries, inline: LabelSequence | None) -> LabelSequence:

@@ -219,12 +219,12 @@ def mine_rules_over_time(
             f"matrix has {matrix.shape[0]} rows but {len(attributes)} attribute rows"
         )
 
-    steps = np.flatnonzero(matrix.sum(axis=0) >= min_support)
+    anomalous = matrix.astype(bool)
+    positives = anomalous.sum(axis=0)
+    steps = np.flatnonzero(positives >= min_support)
     if steps.size == 0 or not schema:  # nothing to mine, or no rule to mine
         return ()
     terms, masks, coverage = _candidates(attributes, schema, config)
-    anomalous = matrix.astype(bool)
-    positives = anomalous.sum(axis=0)
     intervals: list[RuleInterval] = []
     open_index: int | None = None
     open_start = end = 0

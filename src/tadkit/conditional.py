@@ -265,8 +265,6 @@ def run_conditional(config: ConditionalConfig, data: CovariateSet) -> ScoreSeque
         if names
         else np.zeros((len(target), 0))
     )
-    if not (np.isfinite(target).all() and np.isfinite(cov_matrix).all()):
-        raise InputError("conditional scorer inputs must be finite")
     scorer = ConditionalScorer(config, n_covariates=len(names))
     scores = np.full(len(target), MISSING)
     warmup = scorer.warmup
@@ -289,8 +287,6 @@ def run_joint(config: JointConfig, data: CovariateSet) -> ScoreSequence:
     matrix = np.column_stack(cols)
     if np.isnan(matrix).any():
         raise InputError("joint scoring needs gap-free inputs; resample first")
-    if not np.isfinite(matrix).all():
-        raise InputError("joint scorer inputs must be finite")
     scorer = JointScorer(config, dim=matrix.shape[1])
     scores = np.empty(len(matrix))
     for start in range(0, len(matrix), _BLOCK):

@@ -442,12 +442,7 @@ class _AutoWindowDetector(StreamingDetector):
         if self.count < self.config.auto_resolve_at:
             return MISSING
         prefix = TimeSeries(start=0, interval=1, values=np.asarray(self._pending))
-        try:
-            period = detect_period_peaks(prefix).period
-        except (SpecError, DegenerateScaleError):
-            period = None
-        window = period if period is not None else self.config.auto_fallback
-        self._inner = make_detector(replace(self.config, window=int(window)))
+        self._inner = make_detector(replace(self.config, window=_resolve_window(self.config, prefix)))
         last = MISSING
         for v in self._pending:
             last = self._inner.update(v)
@@ -528,7 +523,7 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
         scale = max(float(np.abs(resid).mean()) if n else 0.0, config.scale_floor)
         scores = np.abs(resid) / scale
     elif method == "left_discord":
-        w = _batch_window(config, series)
+        w = _resolve_window(config, series)
         if n >= 2 * w:
             windows = sliding_window_view(values, w)
             for end in range(w - 1, n):
@@ -544,7 +539,7 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
                         values[start : end + 1], np.vstack(pool)
                     )
     else:  # kmeans_window
-        w, k = _batch_window(config, series), config.n_clusters
+        w, k = _resolve_window(config, series), config.n_clusters
         if n >= max(k, 1) * w:
             windows = sliding_window_view(values, w)
             centers = _lloyd(windows.copy(), _maximin_centers(windows, k))
@@ -553,8 +548,13 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
     return ScoreSequence.from_scores(scores)
 
 
-def _batch_window(config: DetectorConfig, series: TimeSeries) -> int:
-    """The window a batch window method uses: "auto" is the whole series' dominant period."""
+def _resolve_window(config: DetectorConfig, series: TimeSeries) -> int:
+    """The window ``config`` gives a window method on ``series``.
+
+    An "auto" window is the dominant period of ``series``, or
+    ``auto_fallback`` when it has none: the whole series in batch, the
+    buffered prefix when streaming.
+    """
     if config.window != "auto":
         return int(config.window)
     try:

@@ -138,41 +138,18 @@ def autocorrelation(series: TimeSeries, max_lag: int | None = None) -> AcfProfil
     return AcfProfile(values=values, max_lag=max_lag)
 
 
-def _plateau_local_maxima(v: np.ndarray, min_index: int) -> list[int]:
+def _local_maxima(v: np.ndarray, min_index: int) -> np.ndarray:
     """Indices of strict local maxima, plateaus reported at their left edge.
 
-    A plateau counts only when it is strictly above both neighbors; runs
-    touching either end of the array have no neighbor there and don't count.
-    """
-    n = len(v)
-    peaks: list[int] = []
-    i = 1
-    while i < n:
-        if v[i] > v[i - 1]:
-            j = i
-            while j + 1 < n and v[j + 1] == v[i]:
-                j += 1
-            if j + 1 < n and v[j + 1] < v[i]:
-                if i >= min_index:
-                    peaks.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return peaks
-
-
-def _local_maxima(v: np.ndarray, min_index: int) -> np.ndarray:
-    """Same peak set as ``_plateau_local_maxima`` but vectorized.
-
-    The fast path assumes no exactly-equal neighbors (true for ACFs of real
-    data); when ties are present it falls back to the scalar plateau scan.
+    Works on runs of equal values (NaN equals nothing, so each NaN is a run
+    of its own): a run is a peak when it is strictly above the runs on both
+    sides, so runs touching either end of the array never count.
     """
     if len(v) < 3:
         return np.empty(0, dtype=np.intp)
-    if np.any(v[1:] == v[:-1]):
-        return np.asarray(_plateau_local_maxima(v, min_index), dtype=np.intp)
-    interior = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
-    peaks = np.nonzero(interior)[0] + 1
+    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    runs = v[starts]
+    peaks = starts[1:-1][(runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])]
     return peaks[peaks >= min_index]
 
 

@@ -502,7 +502,7 @@ def _label_file_corpus():
     """(name, text, start of the three-point, 60 s series the labels belong to)."""
     yield "plain", "timestamp,label\n0,0\n60,1\n120,0\n", 0
     yield "whitespace", " Timestamp , LABEL \n 0 , 1 \n\t60\t,0\n120, 0\n", 0
-    yield "iso", "timestamp,label\n2026-01-02T00:00:00Z,1\n2026-01-02T01:01:00+01:00,0\n1767312120,1\n", _ISO_START
+    yield "iso", "timestamp,label\n2026-01-02T00:00:00Z, 1 \n2026-01-02T01:01:00+01:00,0\t\n1767312120,1\n", _ISO_START
     yield "iso_bad_label", "timestamp,label\n2026-01-02T00:00:00Z,1\n2026-01-02T00:01:00Z,x\n", _ISO_START
     yield "subsecond", "timestamp,label\n0,0\n2026-01-02T00:00:00.5Z,1\n", 0
     yield "bad_timestamp", "timestamp,label\n0,0\n1.5,1\n120,0\n", 0

@@ -240,6 +240,11 @@ class TestOverTime:
         assert mine_rules_over_time(matrix, self.attributes, min_support=2) == ()
         assert len(mine_rules_over_time(matrix, self.attributes, min_support=1)) == 1
 
+    def test_min_support_counts_anomalous_series_not_cell_values(self):
+        attributes = [{"d": "a"}, {"d": "b"}]
+        assert mine_rules_over_time([[2], [0]], attributes, min_support=2) == ()
+        assert len(mine_rules_over_time([[2], [0]], attributes, min_support=1)) == 1
+
     def test_interval_runs_to_the_end_when_the_rule_holds(self):
         matrix = np.zeros((4, 4), dtype=int)
         matrix[2, 2:] = 1

@@ -10,8 +10,6 @@ arithmetic routes to the same estimate, so agreement is to tolerance, not
 bit-level.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -329,15 +327,6 @@ class TestValidation:
         (x if column == "target" else y)[30] = np.inf
         with pytest.raises(InputError, match="infinities"):
             _dataset(x, y=y)
-        # TimeSeries refuses infinities, so a stand-in carries them to the
-        # driver's own once-per-run check
-        stand_in = SimpleNamespace(
-            names=("y",),
-            target=SimpleNamespace(values=x),
-            covariates={"y": SimpleNamespace(values=y)},
-        )
-        with pytest.raises(InputError, match="scorer inputs must be finite"):
-            run(config, stand_in)
 
     @pytest.mark.parametrize(
         "kwargs",

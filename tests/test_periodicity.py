@@ -7,6 +7,7 @@ from tadkit.datagen import PeriodicGeneratorConfig, generate_periodic
 from tadkit.periodicity import (
     MAX_CANDIDATE_LAG,
     MIN_CANDIDATE_LAG,
+    _local_maxima,
     _next_fast_len,
     autocorrelation,
     default_max_lag,
@@ -27,6 +28,42 @@ def brute_acf(values: np.ndarray, max_lag: int) -> np.ndarray:
     for lag in range(max_lag + 1):
         out[lag] = (float(np.dot(x[: n - lag], x[lag:])) / n) / acov0
     return out
+
+
+def oracle_local_maxima(v: np.ndarray, min_index: int) -> list[int]:
+    """The former scalar plateau scan: strict local maxima, plateaus at their left edge."""
+    n = len(v)
+    peaks: list[int] = []
+    i = 1
+    while i < n:
+        if v[i] > v[i - 1]:
+            j = i
+            while j + 1 < n and v[j + 1] == v[i]:
+                j += 1
+            if j + 1 < n and v[j + 1] < v[i]:
+                if i >= min_index:
+                    peaks.append(i)
+            i = j + 1
+        else:
+            i += 1
+    return peaks
+
+
+def test_local_maxima_match_the_plateau_scan_on_tie_heavy_arrays():
+    rng = np.random.default_rng(20)
+    draws = {
+        "integers": lambda n: rng.integers(0, 4, n).astype(float),
+        "tenths": lambda n: np.round(rng.random(n), 1),
+        "nan_and_inf": lambda n: rng.choice([0.0, 1.0, 2.0, np.nan, np.inf, -np.inf], n),
+        "distinct": lambda n: rng.standard_normal(n),
+    }
+    for draw in draws.values():
+        for _ in range(2500):
+            v = draw(int(rng.integers(0, 41)))
+            min_index = int(rng.integers(0, 5))
+            got = _local_maxima(v, min_index)
+            assert got.dtype == np.intp
+            assert got.tolist() == oracle_local_maxima(v, min_index), (v.tolist(), min_index)
 
 
 def test_next_fast_len_is_the_smallest_5_smooth_size():
