@@ -19,6 +19,7 @@ keep runs reproducible and diff-friendly:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import platform
@@ -122,12 +123,32 @@ def _parse_float(text: str, where: str, column: str) -> float:
 
 
 def _read_rows(path) -> list[list[str]]:
+    """The rows of ``path`` that hold a non-blank cell, as ``csv.reader`` reads them.
+
+    The file is read whole as UTF-8.  Text with no ``"`` and no CR outside a
+    CRLF is split on line ends and commas, which is what ``csv.reader`` makes
+    of it; quoted or CR-only text goes through ``csv.reader``.
+    """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"input file not found: {path}")
-    with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if any(map(str.strip, row))]
-    return rows
+    try:
+        text = path.read_bytes().decode()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        rows = csv.reader(io.StringIO(text, newline=""))
+    else:
+        text = text.replace("\r\n", "\n")
+        rows = text.split("\n")
+        del text
+        for i, line in enumerate(rows):  # each line is freed as its cells replace it
+            rows[i] = line.split(",")
+    try:
+        # most rows show a non-blank cell first; csv.reader gives [] for an empty line
+        return [row for row in rows if row and row[0].strip() or any(map(str.strip, row))]
+    except csv.Error as err:
+        raise FormatError(f"{path}: {err}") from None
 
 
 def _table(
@@ -156,48 +177,60 @@ def _table(
 
 # A cell kind is ``(kind, name)``: "timestamp" parses to int64 epoch seconds,
 # "float" to float64, "bit" to int8 0 or 1 and "id" to a stripped string;
-# ``name`` is how an error message calls the column.
+# ``name`` is how an error message calls the column.  Bit kinds come last.
 _TIMESTAMP = ("timestamp", "timestamp")
 _ID = ("id", "series_id")
 _BITS = frozenset({"0", "1"})
-_DTYPES = {"timestamp": np.int64, "float": np.float64, "bit": np.int8}
+_DTYPES = {"timestamp": np.int64, "float": np.float64}
 
 
 def _load_columns(path: Path, rows: list[list[str]], kinds: list[tuple[str, str]]) -> list:
-    """The data rows of ``rows`` (``rows[0]`` is the header), one column per kind.
+    """The data rows of ``rows`` (``rows[0]`` is the header), parsed by kind.
 
-    Timestamp, float and bit columns come back as arrays, id columns as lists.
-    Whole columns parse first: one comprehension per column through the
-    builtins the per-row parse uses, straight into an array.  When a row has
-    the wrong width or a cell does not parse, :func:`_parsed_rows` parses the
-    rows again one at a time, so messages and line numbers name the first
-    bad row.  ISO timestamps also take that path.
+    Timestamp and float columns come back as arrays and id columns as lists,
+    one per kind; the bit columns, if any, come last as one int8 block of
+    shape (rows, bit columns).  Whole columns parse first: ``np.array`` of a
+    column's strings converts each with ``int`` or ``float``, as the per-row
+    parse does, and each bit column's digits fill its stride of one byte
+    buffer.  When a row has the wrong width or a cell does not parse,
+    :func:`_parsed_rows` parses the rows again one at a time, so messages and
+    line numbers name the first bad row.  ISO timestamps also take that path.
     """
     data = rows[1:]
+    first = next((j for j, (kind, _) in enumerate(kinds) if kind == "bit"), len(kinds))
+    width = len(kinds) - first
     try:
         if set(map(len, rows)) != {len(kinds)}:
             raise ValueError("ragged rows")
         columns: list = []
+        digits = bytearray(len(data) * width)
         for j, (kind, _) in enumerate(kinds):
-            if kind == "timestamp":
-                columns.append(np.array([int(row[j]) for row in data], dtype=np.int64))
-            elif kind == "float":
-                columns.append(np.array([float(row[j]) for row in data]))
-            else:
-                cells = [row[j].strip() for row in data]
-                if kind == "bit":
-                    if not _BITS.issuperset(cells):
-                        raise ValueError("not a bit")
-                    # one ASCII digit per cell: its byte minus b"0" is its bit
-                    cells = np.frombuffer("".join(cells).encode(), dtype=np.int8) - ord("0")
+            if kind in _DTYPES:
+                columns.append(np.array([row[j] for row in data], dtype=_DTYPES[kind]))
+                continue
+            cells = [row[j].strip() for row in data]
+            if kind == "id":
                 columns.append(cells)
+            elif _BITS.issuperset(cells):
+                digits[j - first :: width] = "".join(cells).encode()
+            else:
+                raise ValueError("not a bit")
+        if width:
+            # one ASCII digit per cell: its byte minus b"0" is its bit
+            bits = np.frombuffer(digits, dtype=np.int8)
+            bits -= ord("0")
+            columns.append(bits.reshape(len(data), width))
         return columns
     except (ValueError, OverflowError):
         # this parse raises unless the fast one met ISO timestamps, so there are rows to zip
-        columns = zip(*(values for _, values in _parsed_rows(path, rows, kinds)))
-    return [
-        list(c) if kind == "id" else np.array(c, dtype=_DTYPES[kind]) for c, (kind, _) in zip(columns, kinds)
+        parsed = [values for _, values in _parsed_rows(path, rows, kinds)]
+    columns = [
+        list(c) if kind == "id" else np.array(c, dtype=_DTYPES[kind])
+        for c, (kind, _) in zip(zip(*parsed), kinds[:first])
     ]
+    if width:
+        columns.append(np.array([values[first:] for values in parsed], dtype=np.int8))
+    return columns
 
 
 def _parsed_rows(path: Path, rows: list[list[str]], kinds: list[tuple[str, str]]):
@@ -234,7 +267,7 @@ def load_labeled_csv(path) -> tuple[TimeSeries | EventStream, LabelSequence | No
     )
     kinds = [_TIMESTAMP, ("float", "value"), ("bit", "label")][: len(header)]
     timestamps, values, *labels = _load_columns(path, rows, kinds)
-    return _classify(timestamps, values), LabelSequence(labels[0]) if labels else None
+    return _classify(timestamps, values), LabelSequence(labels[0][:, 0]) if labels else None
 
 
 def load_series_csv(path) -> TimeSeries | EventStream:
@@ -281,14 +314,15 @@ def write_series_csv(path, series: TimeSeries | EventStream, labels=None) -> Pat
 def _write_columns(path, header: list[str], columns: list[list]) -> None:
     """Write ``header``, then row ``i`` from item ``i`` of each column.
 
-    Columns hold Python scalars, as ``ndarray.tolist`` gives them: ``csv``
-    writes an int in decimal and a float as its ``repr``, so floats keep full
-    precision and ``nan``, ``inf`` and ``-0.0`` round-trip through ``float``.
+    Columns hold Python ints and floats, as ``ndarray.tolist`` gives them.  A
+    data cell is its ``repr``, which is what ``csv`` writes for these types:
+    ints in decimal, floats at full precision, so ``nan``, ``inf`` and
+    ``-0.0`` round-trip through ``float``.
     """
+    line = ",".join(["{!r}"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        csv.writer(handle).writerow(header)
+        handle.write("".join(map(line.format, *columns)))
 
 
 def load_attributes_csv(path) -> tuple[list[str], list[dict[str, str]]]:
@@ -307,8 +341,8 @@ def load_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a 0/1 anomaly matrix: ``series_id,<t0>,<t1>,...`` rows."""
     path = Path(path)
     rows, header = _table(path, lambda h: h[0] == "series_id" and len(h) >= 2, "series_id,<t0>,...")
-    ids, *bits = _load_columns(path, rows, [_ID] + [("bit", "cells")] * (len(header) - 1))
-    return ids, np.column_stack(bits)
+    ids, bits = _load_columns(path, rows, [_ID] + [("bit", "cells")] * (len(header) - 1))
+    return ids, bits
 
 
 def load_covariates_csv(path, target: str | None = None) -> CovariateSet:
@@ -422,34 +456,60 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     )
 
 
+def _encoder() -> Callable[[Any], str]:
+    """``JSONEncoder(sort_keys=True).encode`` with the C encoder built once.
+
+    ``encode`` builds it on every call; this one takes the arguments that
+    ``JSONEncoder.iterencode`` passes, so the text is the same.
+    """
+    encoder = json.JSONEncoder(sort_keys=True)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    iterencode = json.encoder.c_make_encoder(
+        {}, encoder.default, json.encoder.encode_basestring_ascii, encoder.indent,
+        encoder.key_separator, encoder.item_separator, encoder.sort_keys, encoder.skipkeys,
+        encoder.allow_nan,
+    )
+    return lambda doc: "".join(iterencode(doc, 0))
+
+
 def write_report(report: RunReport, out_dir) -> tuple[Path, Path]:
-    """Persist ``report.jsonl`` (meta line first) and ``summary.csv``."""
+    """Persist ``report.jsonl`` (meta line first) and ``summary.csv``.
+
+    Each record's values are made JSON-safe once; the summary row keeps the
+    ones that were not lists, tuples or dicts, under the record's own keys.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    encode = _encoder()
+    meta = {
+        "record": "meta",
+        "config": _jsonable(report.config),
+        "environment": _jsonable(report.environment),
+        "timings": _jsonable(report.timings),
+    }
+    lines, rows = [encode(meta)], []
+    for record in report.records:
+        doc, row = {}, {}
+        for key, value in record.items():
+            doc[str(key)] = clean = _jsonable(value)
+            if not isinstance(value, (list, tuple, dict)):
+                row[key] = clean
+        lines.append(encode(doc))
+        rows.append(row)
+    lines.append("")  # the last line ends with a newline too
     jsonl = out_dir / "report.jsonl"
-    encode = json.JSONEncoder(sort_keys=True).encode
     with open(jsonl, "w") as handle:
-        meta = {
-            "record": "meta",
-            "config": _jsonable(report.config),
-            "environment": _jsonable(report.environment),
-            "timings": _jsonable(report.timings),
-        }
-        handle.write(encode(meta) + "\n")
-        for record in report.records:
-            handle.write(encode(_jsonable(record)) + "\n")
+        handle.write("\n".join(lines))
 
     summary = out_dir / "summary.csv"
-    rows = [
-        {k: _jsonable(v) for k, v in record.items() if not isinstance(v, (list, tuple, dict))}
-        for record in report.records
-    ]
     fieldnames = list(dict.fromkeys(k for row in rows for k in row))
     with open(summary, "w", newline="") as handle:
         if rows:
             writer = csv.writer(handle)
             writer.writerow(fieldnames)
-            writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
+            blanks = [""] * len(fieldnames)
+            writer.writerows(map(row.get, fieldnames, blanks) for row in rows)
     return jsonl, summary
 
 
@@ -480,7 +540,7 @@ def _load_label_file(path, series: TimeSeries) -> LabelSequence:
             f"{path}: label timestamps do not match the series grid "
             f"({len(bits)} labels for {len(series)} points)"
         )
-    return LabelSequence(bits)
+    return LabelSequence(bits[:, 0])
 
 
 def _resolve_labels(p: Mapping[str, Any], series: TimeSeries, inline: LabelSequence | None) -> LabelSequence:
@@ -887,10 +947,10 @@ def _merge_params(task: str, config_path: str | None, overrides: Mapping[str, An
         path = Path(config_path)
         if not path.is_file():
             raise InputError(f"config file not found: {path}")
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             try:
                 doc = json.load(handle)
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
                 raise FormatError(f"{path}: invalid JSON config ({err})") from None
         if not isinstance(doc, dict):
             raise FormatError(f"{path}: config must be a JSON object")

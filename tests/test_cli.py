@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import types
 import tempfile
 from pathlib import Path
 
@@ -14,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from tadkit.cli import (
     TASK_PARAMS,
     ExperimentConfig,
+    RunReport,
     _classify,
+    _jsonable,
     _load_label_file,
     _parse_float,
     _parse_timestamp,
@@ -27,6 +30,7 @@ from tadkit.cli import (
     load_series_csv,
     main,
     strip_timings,
+    write_report,
     write_series_csv,
 )
 from tadkit.core import (
@@ -233,9 +237,68 @@ class TestSideTables:
 # returns, or raise the same exception with the same message.
 
 
+def oracle_read_rows(path):
+    """The former reader: ``csv.reader`` over the file opened as UTF-8 text."""
+    path = Path(path)
+    if not path.is_file():
+        raise InputError(f"input file not found: {path}")
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = [row for row in csv.reader(handle) if any(map(str.strip, row))]
+    return rows
+
+
+def _reader_corpus():
+    texts = {
+        "lf": "a,b\n1,2\n3,4\n",
+        "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+        "lone_cr": "a,b\r1,2\r3,4\r",
+        "mixed_endings": "a,b\r\n1,2\n3,4\r5,6\r\n7,8",
+        "cr_before_crlf": "a,b\r\r\n1,2\n",
+        "cr_at_the_end": "a,b\n1,2\r",
+        "no_final_newline": "a,b\n1,2",
+        "crlf_no_final_newline": "a,b\r\n1,2",
+        "empty_lines": "\n\na,b\n\n1,2\n\n\n",
+        "whitespace_lines": "a,b\n   \n\t\n1,2\n \x0b\x0c \n",
+        "comma_lines": "a,b\n,\n , ,\n1,2\n,,,\n",
+        "blank_crlf_lines": "a,b\r\n\r\n , \r\n1,2\r\n",
+        "empty_first_cell": ",x\n , y\n",
+        "nul": "a\x00b,c\n1,\x00\n\x00,\n",
+        "separator_chars": "a,b\n\x1c1\x1c,2\n\x1c,\x1d\n\x1e\x1f,3\n",
+        "next_line": "a,b\n1\x85,2\n\x85,\x85\n",
+        "line_separator": "a,b\n1\u2028,2\n\u2028\n\u2029,\u2028\n",
+        "tabs": "a\tb,c\n\t1,\t2\t\n\t,\t\n",
+        "bom": "\ufeffa,b\n1,2\n",
+        "bom_only": "\ufeff\n",
+        "non_ascii": "zeit,wert\n\u00e9t\u00e9,\u2603\n\U0001f680,\u00a0\n",
+        "trailing_commas": "a,b,\n1,2,\n",
+        "empty": "",
+        "newlines_only": "\n\r\n\n",
+    }
+    yield from texts.items()
+    quoted = {
+        "quoted_comma": 'a,b\n"1,5",2\n',
+        "quoted_newline": 'a,b\n"line\nbreak",2\n"cr\r\nlf",3\r\n',
+        "doubled_quote": 'a,b\n"say ""hi""",2\n"""",3\n',
+        "quote_mid_field": 'a,b\n1"5,2\nx"y"z,3\n',
+        "text_after_closing_quote": '"a"b,c\n"1" ,2\n',
+        "unclosed_quote": 'a,b\n"1,2\n3,4\n',
+        "quoted_blank_cells": 'a,b\n"",""\n" "," "\n1,2\n',
+    }
+    yield from quoted.items()
+    for name, text in texts.items():  # the same rows through the csv path
+        yield f"{name}_after_a_quoted_row", '"q",r\n' + text
+
+
+@pytest.mark.parametrize("name, text", list(_reader_corpus()))
+def test_reader_matches_the_csv_reader(tmp_path, name, text):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode())
+    assert _read_rows(path) == oracle_read_rows(path)
+
+
 def oracle_load_labeled_csv(path):
     path = Path(path)
-    rows = _read_rows(path)
+    rows = oracle_read_rows(path)
     if not rows:
         raise FormatError(f"{path}: empty file; expected header 'timestamp,value[,label]'")
     header = [cell.strip().lower() for cell in rows[0]]
@@ -265,7 +328,7 @@ def oracle_load_labeled_csv(path):
 
 def oracle_load_matrix_csv(path):
     path = Path(path)
-    rows = _read_rows(path)
+    rows = oracle_read_rows(path)
     if not rows:
         raise FormatError(f"{path}: empty file; expected header 'series_id,<t0>,...'")
     header = [cell.strip() for cell in rows[0]]
@@ -291,7 +354,7 @@ def oracle_load_matrix_csv(path):
 
 def oracle_load_covariates_csv(path, target=None):
     path = Path(path)
-    rows = _read_rows(path)
+    rows = oracle_read_rows(path)
     if not rows:
         raise FormatError(f"{path}: empty file; expected header 'timestamp,<col>,...'")
     header = [cell.strip() for cell in rows[0]]
@@ -468,9 +531,23 @@ def test_matrix_loader_matches_the_per_row_oracle(tmp_path, name, text):
     assert got[1].tobytes() == expected[1].tobytes()
 
 
+def test_well_formed_files_parse_whole_columns(tmp_path, monkeypatch):
+    def per_row(*args):
+        raise AssertionError("the per-row parse ran on a well-formed file")
+
+    monkeypatch.setattr("tadkit.cli._parsed_rows", per_row)
+    series, labels = load_labeled_csv(_write(tmp_path / "s.csv", "timestamp,value,label\n0,1.5,0\n60,nan,1\n"))
+    assert labels.labels.tolist() == [0, 1]
+    ids, matrix = load_matrix_csv(_write(tmp_path / "m.csv", "series_id,t0,t1,t2\ns0,0,1,0\ns1, 1 ,1,0\n"))
+    assert matrix.tolist() == [[0, 1, 0], [1, 1, 0]]
+    assert load_covariates_csv(_write(tmp_path / "c.csv", "timestamp,a,b\n0,1,2\n60,3,4\n")).names == ("b",)
+    label_file = _write(tmp_path / "l.csv", "timestamp,label\n0,1\n60,0\n")
+    assert _load_label_file(label_file, series).labels.tolist() == [1, 0]
+
+
 def oracle_load_label_file(path, series):
     path = Path(path)
-    rows = _read_rows(path)
+    rows = oracle_read_rows(path)
     if not rows:
         raise FormatError(f"{path}: empty file; expected header 'timestamp,label'")
     header = [cell.strip().lower() for cell in rows[0]]
@@ -536,7 +613,7 @@ def test_label_file_loader_matches_the_per_row_oracle(tmp_path, name, text, star
 
 def oracle_load_attributes_csv(path):
     path = Path(path)
-    rows = _read_rows(path)
+    rows = oracle_read_rows(path)
     if not rows:
         raise FormatError(f"{path}: empty file; expected header 'series_id,<attr>,...'")
     header = [cell.strip() for cell in rows[0]]
@@ -636,6 +713,82 @@ def test_series_writer_matches_the_row_writer(tmp_path, labels):
         oracle_write_series(tmp_path / f"{name}_rows.csv", stamps, data.values, lab)
         written = (tmp_path / f"{name}.csv").read_bytes()
         assert written == (tmp_path / f"{name}_rows.csv").read_bytes()
+
+
+def oracle_write_report(report, out_dir):
+    """The former report writer: one encoder call and one write per line."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    jsonl = out_dir / "report.jsonl"
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with open(jsonl, "w") as handle:
+        meta = {
+            "record": "meta",
+            "config": _jsonable(report.config),
+            "environment": _jsonable(report.environment),
+            "timings": _jsonable(report.timings),
+        }
+        handle.write(encode(meta) + "\n")
+        for record in report.records:
+            handle.write(encode(_jsonable(record)) + "\n")
+
+    summary = out_dir / "summary.csv"
+    rows = [
+        {k: _jsonable(v) for k, v in record.items() if not isinstance(v, (list, tuple, dict))}
+        for record in report.records
+    ]
+    fieldnames = list(dict.fromkeys(k for row in rows for k in row))
+    with open(summary, "w", newline="") as handle:
+        if rows:
+            writer = csv.writer(handle)
+            writer.writerow(fieldnames)
+            writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
+    return jsonl, summary
+
+
+_REPORT_RECORDS = {
+    "non_finite": ({"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "in_list": [math.nan, -math.inf, 1.5]},),
+    "numpy_scalars": (
+        {"f32": np.float32(0.1), "i64": np.int64(-3), "bool": np.bool_(True), "u64": np.uint64(2**64 - 1),
+         "f64_nan": np.float64("nan"), "f32_inf": np.float32("inf"), "nested": [np.int64(2), {"x": np.bool_(False)}]},
+    ),
+    "nested": (
+        {"dict": {"a": {"b": [1, (2, 3)]}, 2: "two"}, "tuple": (1, [2, {"z": None}]), "list": [], "scalar": 1e-300},
+    ),
+    "non_ascii": ({"naïve": "café ☕", "emoji": "🚀", "quote": 'say "hi", ok', "newline": "a\nb\r\nc", "nul": "\x00"},),
+    "non_str_keys": (
+        {1: "int", 2.5: "float", None: "none", (1, 2): "tuple", "1": "collides with 1"},
+        {"nested": {3: {4.5: [None]}}, True: "bool", "record": "x"},
+    ),
+    "none": ({"value": None, "list": [None], "zero": 0, "empty": ""},),
+    "differing_keys": (
+        {"record": "a", "x": 1, "list": [1]},
+        {"record": "b", "y": -0.0, "x": 3, "dict": {}},
+        {"only": "here"},
+        {"y": 2.5, "record": "c"},
+    ),
+    "mapping_values": ({"proxy": types.MappingProxyType({"b": 1, "a": math.nan}), "plain": 1},),
+    "mapping_records": (types.MappingProxyType({"record": "proxy", "v": 1.5}), {"record": "dict"}),
+    "empty": (),
+}
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c_encoder", "python_encoder"])
+@pytest.mark.parametrize("name", list(_REPORT_RECORDS))
+def test_report_writer_matches_the_per_line_writer(tmp_path, monkeypatch, name, c_encoder):
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    report = RunReport(
+        config={"task": "detect", "seed": 3, "k": math.inf, "names": ("a", "b")},
+        environment={"numpy": np.__version__, "seed": np.int64(3)},
+        records=_REPORT_RECORDS[name],
+        timings={"wall_s": 0.25},
+    )
+    written = write_report(report, tmp_path / "change")
+    expected = oracle_write_report(report, tmp_path / "oracle")
+    for got, want in zip(written, expected):
+        assert got.name == want.name
+        assert got.read_bytes() == want.read_bytes(), got.name
 
 
 def test_strip_timings_removes_nested_wall_clock_keys():
@@ -961,6 +1114,46 @@ def test_epoch_timestamps_beyond_int64_give_one_json_error_line(runner, tmp_path
     payload = json.loads(line)
     assert payload["error"] == "FormatError"
     assert "line 3" in payload["message"] and "int64" in payload["message"]
+
+
+_BAD_CELLS = {
+    "non_utf8": b"\xff",
+    "quoted_field_over_the_csv_limit": b'"' + b"1" * (csv.field_size_limit() + 1) + b'"',
+}
+
+
+@pytest.mark.parametrize(
+    "task, cell",
+    [(task, cell) for task in ("detect", "evaluate", "resample", "conditional", "labels", "matrix", "attributes")
+     for cell in _BAD_CELLS] + [("config", "non_utf8")],
+)
+def test_undecodable_or_oversized_input_gives_one_json_error_line(runner, tmp_path, task, cell):
+    bad = _BAD_CELLS[cell]
+    matrix = _write(tmp_path / "matrix.csv", "series_id,t0,t1\ns0,0,1\ns1,0,0\n")
+    attrs = _write(tmp_path / "attr.csv", "series_id,device\ns0,a\ns1,b\n")
+    path = tmp_path / "in.csv"
+    if task == "conditional":
+        path.write_bytes(b"timestamp,a,b\n0,1,2\n60,3," + bad + b"\n")
+        args = [task, "--input", str(path)]
+    elif task == "labels":
+        path.write_bytes(b"timestamp,label\n0,0\n60," + bad + b"\n")
+        args = ["evaluate", "--input", str(_make_input(tmp_path)), "--labels", str(path)]
+    elif task in ("matrix", "attributes"):
+        path.write_bytes(b"series_id,x\ns0,1\ns1," + bad + b"\n")
+        files = {"matrix": matrix, "attributes": attrs, task: path}
+        args = ["cohort", "--matrix", str(files["matrix"]), "--attributes", str(files["attributes"])]
+    elif task == "config":
+        path.write_bytes(b'{"window": ' + bad + b"}")
+        args = ["detect", "--input", str(_make_input(tmp_path)), "--config", str(path)]
+    else:
+        path.write_bytes(b"timestamp,value\n0,1\n60," + bad + b"\n")
+        args = [task, "--input", str(path)]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, repr(result.exception)
+    (line,) = result.stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "FormatError"
+    assert str(path) in payload["message"]
 
 
 @pytest.mark.parametrize(
