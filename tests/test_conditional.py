@@ -306,12 +306,6 @@ class TestValidation:
             scorer.update(float("nan"), covariates=(1.0,))
         with pytest.raises(InputError):
             scorer.update(1.0, covariates=(float("inf"),))
-        # the run drivers take a CovariateSet, which refuses an infinity in any column
-        for column in ("target", "covariate"):
-            x, y = np.ones(50), np.arange(50.0)
-            (x if column == "target" else y)[30] = np.inf
-            with pytest.raises(InputError, match="infinities"):
-                _dataset(x, y=y)
 
     def test_gaps_must_be_resampled_away_first(self):
         x = np.ones(50)
@@ -321,6 +315,18 @@ class TestValidation:
             run_conditional(ConditionalConfig(), _dataset(x, y=y))
         with pytest.raises(InputError, match="resample"):
             run_joint(JointConfig(), _dataset(x, y=y))
+
+    @pytest.mark.parametrize("run, config", [
+        (run_conditional, ConditionalConfig()),
+        (run_joint, JointConfig()),
+    ])
+    @pytest.mark.parametrize("column", ["target", "covariate"])
+    def test_run_drivers_reject_non_finite_inputs(self, run, config, column):
+        x = np.ones(50)
+        y = np.arange(50.0)
+        (x if column == "target" else y)[30] = np.inf
+        with pytest.raises(InputError, match="infinities"):
+            _dataset(x, y=y)
 
     @pytest.mark.parametrize(
         "kwargs",
