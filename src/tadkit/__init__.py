@@ -12,149 +12,29 @@ diagnosis.  The ``tad`` command line lives in :mod:`tadkit.cli`.
 
 __version__ = "0.1.0"
 
-from .core import (
-    MISSING,
-    AlignmentError,
-    CovariateSet,
-    DegenerateScaleError,
-    EventStream,
-    FormatError,
-    InputError,
-    LabelSequence,
-    OrderingError,
-    PopulationDataset,
-    ProtocolError,
-    SchemaError,
-    ScoreSequence,
-    SpecError,
-    TadError,
-    TimeSeries,
-    align,
-    is_missing,
-    slice_prefix,
-)
-from .datagen import (
-    InjectionConfig,
-    LabeledSeries,
-    PeriodicGeneratorConfig,
-    generate_periodic,
-    inject_point_anomalies,
-    series_rng,
-)
-from .resample import ResampleSpec, resample, suggest_rate
-from .periodicity import (
-    AcfProfile,
-    BenchmarkResult,
-    MethodResult,
-    PeriodEstimate,
-    autocorrelation,
-    detect_period_acf,
-    detect_period_autoperiod,
-    detect_period_fft,
-    detect_period_peaks,
-    run_period_benchmark,
-)
-from .detectors import DetectorConfig, StreamingDetector, make_detector, run_batch, run_streaming
-from .thresholds import Thresholder, ThresholdSpec, apply_batch, oracle_fixed_threshold
-from .evaluation import (
-    AlwaysFlagPolicy,
-    DetectorThresholdPolicy,
-    EvalReport,
-    FeedbackLog,
-    LossSpec,
-    NeverFlagPolicy,
-    detection_delay,
-    evaluate_batch,
-    evaluate_streaming,
-    run_hil,
-    run_population,
-)
-from .conditional import (
-    ConditionalConfig,
-    ConditionalScorer,
-    JointConfig,
-    JointScorer,
-    run_conditional,
-    run_joint,
-)
-from .cohort import CohortMinerConfig, Rule, RuleInterval, mine_rules, mine_rules_over_time
+from . import cohort, conditional, core, datagen, detectors, evaluation, periodicity, resample, thresholds
 
 __all__ = [
     "__version__",
-    # core
-    "MISSING",
-    "TadError",
-    "SpecError",
-    "AlignmentError",
-    "DegenerateScaleError",
-    "OrderingError",
-    "InputError",
-    "ProtocolError",
-    "SchemaError",
-    "FormatError",
-    "TimeSeries",
-    "LabelSequence",
-    "ScoreSequence",
-    "EventStream",
-    "PopulationDataset",
-    "CovariateSet",
-    "is_missing",
-    "slice_prefix",
-    "align",
-    # data preparation
-    "PeriodicGeneratorConfig",
-    "InjectionConfig",
-    "LabeledSeries",
-    "series_rng",
-    "generate_periodic",
-    "inject_point_anomalies",
-    "ResampleSpec",
-    "resample",
-    "suggest_rate",
-    # periodicity
-    "AcfProfile",
-    "PeriodEstimate",
-    "MethodResult",
-    "BenchmarkResult",
-    "autocorrelation",
-    "detect_period_acf",
-    "detect_period_peaks",
-    "detect_period_fft",
-    "detect_period_autoperiod",
-    "run_period_benchmark",
-    # detection and thresholding
-    "DetectorConfig",
-    "StreamingDetector",
-    "make_detector",
-    "run_streaming",
-    "run_batch",
-    "ThresholdSpec",
-    "Thresholder",
-    "apply_batch",
-    "oracle_fixed_threshold",
-    # evaluation
-    "LossSpec",
-    "FeedbackLog",
-    "EvalReport",
-    "AlwaysFlagPolicy",
-    "NeverFlagPolicy",
-    "DetectorThresholdPolicy",
-    "detection_delay",
-    "evaluate_batch",
-    "evaluate_streaming",
-    "run_hil",
-    "run_population",
-    # conditional / multivariate
-    "ConditionalConfig",
-    "ConditionalScorer",
-    "JointConfig",
-    "JointScorer",
-    "run_conditional",
-    "run_joint",
-    # population rules
-    "Rule",
-    "CohortMinerConfig",
-    "RuleInterval",
-    "mine_rules",
-    "mine_rules_over_time",
+    *core.__all__,
+    *datagen.__all__,
+    *resample.__all__,
+    *periodicity.__all__,
+    *detectors.__all__,
+    *thresholds.__all__,
+    *evaluation.__all__,
+    *conditional.__all__,
+    *cohort.__all__,
 ]
+
+# The star imports come last: ``from .resample import *`` rebinds
+# ``tadkit.resample`` from the module to the function.
+from .core import *  # noqa: E402,F403
+from .datagen import *  # noqa: E402,F403
+from .resample import *  # noqa: E402,F403
+from .periodicity import *  # noqa: E402,F403
+from .detectors import *  # noqa: E402,F403
+from .thresholds import *  # noqa: E402,F403
+from .evaluation import *  # noqa: E402,F403
+from .conditional import *  # noqa: E402,F403
+from .cohort import *  # noqa: E402,F403

@@ -51,11 +51,12 @@ from .core import (
     TimeSeries,
 )
 from .datagen import InjectionConfig, PeriodicGeneratorConfig, generate_periodic, inject_point_anomalies
-from .detectors import DetectorConfig, run_batch, run_streaming
-from .evaluation import DetectorThresholdPolicy, LossSpec, evaluate_batch, evaluate_streaming, run_hil
+from .detectors import DetectorConfig
+from .evaluation import (DetectorThresholdPolicy, LossSpec, evaluate_batch, evaluate_streaming, run_hil,
+                         score_and_decide)
 from .periodicity import DEFAULT_METHODS, run_period_benchmark
 from .resample import ResampleSpec, resample
-from .thresholds import Thresholder, ThresholdSpec, apply_batch
+from .thresholds import ThresholdSpec
 
 __all__ = [
     "TASKS",
@@ -617,15 +618,7 @@ def _task_detect(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     series, _ = _load_regular(p["input"])
     detector = _build(DetectorConfig, p)
     spec = _build(ThresholdSpec, p, seed=config.seed)
-    if p["protocol"] == "streaming":
-        scores = run_streaming(detector, series)
-        thresholder = Thresholder(spec)
-        decisions = np.fromiter(
-            (thresholder.update(s) for s in scores.scores), dtype=np.int8, count=len(scores)
-        )
-    else:
-        scores = run_batch(detector, series)
-        decisions = apply_batch(spec, scores)
+    scores, decisions = score_and_decide(p["protocol"], detector, spec, series)
     _write_columns(
         out_dir / "scores.csv",
         ["timestamp", "score", "decision"],
@@ -662,10 +655,8 @@ def _task_evaluate(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     detector = _build(DetectorConfig, p)
     spec = _build(ThresholdSpec, p, seed=config.seed)
     loss = _build(LossSpec, p)
-    if p["protocol"] == "streaming":
-        report = evaluate_streaming(detector, spec, series, labels, loss, p["max_delay"])
-    else:
-        report = evaluate_batch(detector, spec, series, labels, loss, p["max_delay"])
+    evaluate = evaluate_streaming if p["protocol"] == "streaming" else evaluate_batch
+    report = evaluate(detector, spec, series, labels, loss, p["max_delay"])
     return [_eval_record(report, p["protocol"], p["input"])]
 
 

@@ -19,7 +19,6 @@ after scoring.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +67,12 @@ class ConditionalScorer:
     exponentially weighted mean absolute deviation with the same forgetting
     factor, floored so a perfectly explained target scores 0, not NaN.
 
-    ``update`` builds each regressor from its lag buffers and
-    :func:`run_conditional` builds them a block of rows at a time; both then
-    take the same RLS step, ``_train``.
+    One layout, ``_offsets``, serves ``update`` and :func:`run_conditional`:
+    regressor ``j + 1`` of step ``t`` is entry ``t * width + _offsets[j]`` of
+    the row-major ``(target, covariates...)`` inputs.  ``update`` gathers it
+    from its buffer of recent rows and :func:`run_conditional` from all the
+    inputs, a block of steps at a time; both then take the same RLS step,
+    ``_train``.
     """
 
     def __init__(self, config: ConditionalConfig, n_covariates: int):
@@ -81,11 +83,21 @@ class ConditionalScorer:
         self.config = config
         self.n_covariates = n_covariates
         self._p = 1 + config.ar_order + n_covariates * (1 + config.covariate_lags)
-        self._max_lag = max(config.ar_order, config.covariate_lags)
+        self._max_lag = m = max(config.ar_order, config.covariate_lags)
+        self._width = width = 1 + n_covariates
+        self._offsets = np.array(
+            [-i * width for i in range(1, config.ar_order + 1)]
+            + [c - i * width for c in range(1, width) for i in range(config.covariate_lags + 1)],
+            dtype=np.intp,
+        )
         self._theta = np.zeros(self._p)
         self._P = np.eye(self._p) / config.ridge
-        self._x_hist: deque[float] = deque(maxlen=max(config.ar_order, 1))
-        self._cov_hist: deque[np.ndarray] = deque(maxlen=max(config.covariate_lags, 1))
+        # 2·(m+1) input rows; when full, the newest m move to the front
+        self._rows = np.empty((2 * (m + 1), width))
+        self._n = 0
+        self._gather = [n * width + self._offsets for n in range(len(self._rows))]
+        self._a = np.ones(self._p)
+        self._lagged = self._a[1:]
         self._scale = 0.0
         self.count = 0
 
@@ -101,30 +113,19 @@ class ConditionalScorer:
             )
         if not np.isfinite(x) or not np.all(np.isfinite(cov)):
             raise InputError("conditional scorer inputs must be finite")
-        t = self.count
+        t, m, n = self.count, self._max_lag, self._n
         self.count += 1
-        score = MISSING
-        if t >= self._max_lag:
-            score = self._train(self._regressor(cov), float(x), scoring=t >= self.warmup)
-        self._x_hist.appendleft(float(x))
-        self._cov_hist.appendleft(cov)
-        return score
-
-    def _regressor(self, cov: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        a = np.empty(self._p)
-        a[0] = 1.0
-        pos = 1
-        for i in range(cfg.ar_order):
-            a[pos] = self._x_hist[i]
-            pos += 1
-        for c in range(self.n_covariates):
-            a[pos] = cov[c]
-            pos += 1
-            for i in range(cfg.covariate_lags):
-                a[pos] = self._cov_hist[i][c]
-                pos += 1
-        return a
+        if n == len(self._rows):
+            self._rows[:m] = self._rows[n - m :]
+            n = m
+        self._rows[n, 0] = x
+        self._rows[n, 1:] = cov
+        self._n = n + 1
+        if t < m:
+            return MISSING
+        # every index is in range; "clip" lets take write to ``out`` unbuffered
+        self._rows.take(self._gather[n], out=self._lagged, mode="clip")
+        return self._train(self._a, float(x), scoring=t >= self.warmup)
 
     def _train(self, a: np.ndarray, x: float, scoring: bool) -> float:
         """One RLS step on regressor ``a`` and target ``x``: score, then learn."""
@@ -250,32 +251,23 @@ class JointScorer:
 def run_conditional(config: ConditionalConfig, data: CovariateSet) -> ScoreSequence:
     """Conditional scores for the target of ``data``, one per point.
 
-    The regressors are built ``_BLOCK`` rows at a time from lagged slices of
-    the columns, then each row takes the same RLS step as
+    The regressors are gathered ``_BLOCK`` rows at a time through the
+    scorer's offsets, then each row takes the same RLS step as
     :meth:`ConditionalScorer.update`.
     """
-    names = data.names
     target = data.target.values
-    if np.isnan(target).any() or any(
-        np.isnan(data.covariates[n].values).any() for n in names
-    ):
+    inputs = np.column_stack([target] + [data.covariates[n].values for n in data.names])
+    if np.isnan(inputs).any():
         raise InputError("conditional scoring needs gap-free inputs; resample first")
-    cov_matrix = (
-        np.column_stack([data.covariates[n].values for n in names])
-        if names
-        else np.zeros((len(target), 0))
-    )
-    scorer = ConditionalScorer(config, n_covariates=len(names))
+    scorer = ConditionalScorer(config, n_covariates=len(data.names))
     scores = np.full(len(target), MISSING)
     warmup = scorer.warmup
-    # rows start at the largest lag, so every lagged slice is in range
+    # rows start at the largest lag, so every offset is in range
     for start in range(scorer._max_lag, len(target), _BLOCK):
-        stop = min(start + _BLOCK, len(target))
-        columns = [np.ones(stop - start)]
-        columns += [target[start - i : stop - i] for i in range(1, config.ar_order + 1)]
-        for c in range(len(names)):
-            columns += [cov_matrix[start - i : stop - i, c] for i in range(config.covariate_lags + 1)]
-        for t, a in enumerate(np.column_stack(columns), start):
+        steps = np.arange(start, min(start + _BLOCK, len(target)))
+        block = np.ones((len(steps), scorer._p))
+        block[:, 1:] = inputs.reshape(-1)[steps[:, None] * scorer._width + scorer._offsets]
+        for t, a in zip(steps.tolist(), block):
             scores[t] = scorer._train(a, float(target[t]), t >= warmup)
     return ScoreSequence.from_scores(scores)
 

@@ -62,6 +62,8 @@ _ZNORM_EPS = 1e-12
 # Windows ``run_streaming`` scores per spectral-residual kernel call: enough
 # to amortize the per-call overhead, few enough that memory stays flat.
 _SR_BLOCK_ROWS = 32
+# Extrapolated points appended to each spectral-residual window.
+_SR_PAD_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,6 @@ class DetectorConfig:
     alpha: float = 0.1                  # ewma smoothing factor
     scale_floor: float = 1e-9           # minimum denominator for scaled residuals
     sr_ma_width: int = 3                # moving-average width on the log spectrum
-    sr_pad_points: int = 5              # extrapolated points appended to the window
     n_clusters: int = 4
     refit_cadence: int | None = None    # kmeans refit period; None -> window
     auto_resolve_at: int = 256          # prefix length at which "auto" resolves
@@ -100,8 +101,6 @@ class DetectorConfig:
             raise SpecError("scale_floor must be positive")
         if self.sr_ma_width < 1:
             raise SpecError("sr_ma_width must be >= 1")
-        if self.sr_pad_points < 0:
-            raise SpecError("sr_pad_points must be >= 0")
         if self.n_clusters < 1:
             raise SpecError("n_clusters must be >= 1")
         if self.refit_cadence is not None and self.refit_cadence < 1:
@@ -111,7 +110,7 @@ class DetectorConfig:
         if self.auto_fallback < 2:
             raise SpecError("auto_fallback must be >= 2")
         if self.method == "spectral_residual" and self.window != "auto":
-            _check_ma_width(int(self.window), self.sr_ma_width, self.sr_pad_points)
+            _check_ma_width(int(self.window), self.sr_ma_width, _SR_PAD_POINTS)
 
 
 def _pad_count(n: int, pad_points: int) -> int:
@@ -233,7 +232,7 @@ class _SpectralResidualDetector(StreamingDetector):
     def __init__(self, config: DetectorConfig):
         super().__init__(config)
         self._w = w = int(config.window)
-        self._kernel = _SaliencyKernel(w, config.sr_ma_width, config.sr_pad_points)
+        self._kernel = _SaliencyKernel(w, config.sr_ma_width, _SR_PAD_POINTS)
         self._buf = np.empty(2 * w, dtype=np.float64)
         self._n = 0
 
@@ -366,7 +365,7 @@ def _lloyd(windows: np.ndarray, centers: np.ndarray, max_iter: int = 50) -> np.n
     k = len(centers)
     assign = None
     for _ in range(max_iter):
-        d2 = ((windows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _center_distances(windows, centers)
         new_assign = d2.argmin(axis=1)
         nearest = d2[np.arange(len(windows)), new_assign]
         for c in range(k):
@@ -382,6 +381,16 @@ def _lloyd(windows: np.ndarray, centers: np.ndarray, max_iter: int = 50) -> np.n
             break
         assign = new_assign
     return centers
+
+
+def _fit_centers(windows: np.ndarray, k: int) -> np.ndarray:
+    """k centers of ``windows``: maximin seeding, then Lloyd iterations."""
+    return _lloyd(windows.copy(), _maximin_centers(windows, k))
+
+
+def _center_distances(windows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distance from each window (row) to each center (column)."""
+    return ((windows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
 class _KmeansWindowDetector(StreamingDetector):
@@ -403,11 +412,8 @@ class _KmeansWindowDetector(StreamingDetector):
         if self.count < k * w:
             return MISSING
         if (self.count - k * w) % self._cadence == 0:
-            windows = sliding_window_view(self._buf.view(), w)
-            self._centers = _lloyd(windows.copy(), _maximin_centers(windows, k))
-        newest = self._buf.view()[-w:]
-        d2 = ((self._centers - newest) ** 2).sum(axis=1)
-        return float(np.sqrt(d2.min()))
+            self._centers = _fit_centers(sliding_window_view(self._buf.view(), w), k)
+        return float(np.sqrt(_center_distances(self._buf.view()[None, -w:], self._centers).min()))
 
 
 class _AutoWindowDetector(StreamingDetector):
@@ -474,12 +480,13 @@ def run_streaming(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
     if np.isnan(values).any():
         raise InputError("detectors need a gap-free series; resample first")
     if config.method == "spectral_residual" and config.window != "auto":
-        return ScoreSequence.from_scores(_spectral_residual_stream(config, values))
+        w = int(config.window)
+        return ScoreSequence(_spectral_residual_stream(config, values), min(w - 1, len(values)))
     det = make_detector(config)
     scores = np.empty(len(values), dtype=np.float64)
     for i, x in enumerate(values):
         scores[i] = det.update(float(x))
-    return ScoreSequence.from_scores(scores)
+    return ScoreSequence(scores, min(det.warmup, len(values)))
 
 
 def _spectral_residual_stream(config: DetectorConfig, values: np.ndarray) -> np.ndarray:
@@ -487,7 +494,7 @@ def _spectral_residual_stream(config: DetectorConfig, values: np.ndarray) -> np.
     w = int(config.window)
     scores = np.full(len(values), MISSING, dtype=np.float64)
     if len(values) >= w:
-        kernel = _SaliencyKernel(w, config.sr_ma_width, config.sr_pad_points, _SR_BLOCK_ROWS)
+        kernel = _SaliencyKernel(w, config.sr_ma_width, _SR_PAD_POINTS, _SR_BLOCK_ROWS)
         windows = sliding_window_view(values, w)
         for start in range(0, len(windows), _SR_BLOCK_ROWS):
             block = windows[start : start + _SR_BLOCK_ROWS]
@@ -509,7 +516,7 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
     scores = np.full(n, MISSING, dtype=np.float64)
     if method == "spectral_residual":
         if n:
-            kernel = _SaliencyKernel(n, config.sr_ma_width, config.sr_pad_points)
+            kernel = _SaliencyKernel(n, config.sr_ma_width, _SR_PAD_POINTS)
             sal = kernel(values[None, :])[0]
             mean_sal = float(sal.mean())
             scores = np.maximum(0.0, (sal - mean_sal) / (mean_sal + _SAL_EPS))
@@ -524,27 +531,18 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
         scores = np.abs(resid) / scale
     elif method == "left_discord":
         w = _resolve_window(config, series)
-        if n >= 2 * w:
+        # from 3w - 1 points on, every window has one it does not overlap
+        if n >= 3 * w - 1:
             windows = sliding_window_view(values, w)
-            for end in range(w - 1, n):
-                start = end - w + 1
-                # nearest non-overlapping window on either side
-                pool = []
-                if start - w >= 0:
-                    pool.append(windows[: start - w + 1])
-                if start + w < len(windows):
-                    pool.append(windows[start + w :])
-                if pool:
-                    scores[end] = _nearest_window_distance(
-                        values[start : end + 1], np.vstack(pool)
-                    )
+            for s in range(len(windows)):
+                pool = np.delete(windows, slice(max(0, s - w + 1), s + w), axis=0)
+                scores[s + w - 1] = _nearest_window_distance(windows[s], pool)
     else:  # kmeans_window
         w, k = _resolve_window(config, series), config.n_clusters
         if n >= max(k, 1) * w:
             windows = sliding_window_view(values, w)
-            centers = _lloyd(windows.copy(), _maximin_centers(windows, k))
-            d2 = ((windows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            scores[w - 1 :] = np.sqrt(d2.min(axis=1))
+            centers = _fit_centers(windows, k)
+            scores[w - 1 :] = np.sqrt(_center_distances(windows, centers).min(axis=1))
     return ScoreSequence.from_scores(scores)
 
 

@@ -29,6 +29,7 @@ from .core import (
     LabelSequence,
     PopulationDataset,
     ProtocolError,
+    ScoreSequence,
     SpecError,
     TimeSeries,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "evaluate_streaming",
     "run_hil",
     "run_population",
+    "score_and_decide",
 ]
 
 
@@ -232,6 +234,30 @@ def _build_report(
     )
 
 
+def score_and_decide(
+    protocol: str, detector_config: DetectorConfig, threshold: ThresholdSpec, series: TimeSeries
+) -> tuple[ScoreSequence, np.ndarray]:
+    """Scores of ``series`` and the 0/1 decision at each point under ``protocol``.
+
+    ``"batch"`` fits the detector and the threshold once on everything;
+    ``"streaming"`` runs one forward pass and one :class:`Thresholder` over it.
+    """
+    if protocol == "batch":
+        scores = run_batch(detector_config, series)
+        return scores, apply_batch(threshold, scores)
+    if protocol != "streaming":
+        raise SpecError(f"unknown protocol {protocol!r}")
+    scores = run_streaming(detector_config, series)
+    decide = Thresholder(threshold).update
+    return scores, np.array([decide(s) for s in scores.scores.tolist()], dtype=np.int8)
+
+
+def _evaluate(protocol, detector_config, threshold, series, labels, loss, max_delay) -> EvalReport:
+    lab = _label_array(labels, len(series.values))
+    scores, pred = score_and_decide(protocol, detector_config, threshold, series)
+    return _build_report(protocol, pred, lab, loss or LossSpec(), scores.warmup, max_delay)
+
+
 def evaluate_batch(
     detector_config: DetectorConfig,
     threshold: ThresholdSpec,
@@ -241,24 +267,7 @@ def evaluate_batch(
     max_delay: int = 0,
 ) -> EvalReport:
     """Fit-once evaluation: scores and threshold see the whole series."""
-    loss = loss or LossSpec()
-    lab = _label_array(labels, len(series.values))
-    scores = run_batch(detector_config, series)
-    pred = apply_batch(threshold, scores)
-    return _build_report("batch", pred, lab, loss, scores.warmup, max_delay)
-
-
-def _stream_decisions(
-    detector_config: DetectorConfig, threshold: ThresholdSpec, series: TimeSeries
-) -> tuple[np.ndarray, int]:
-    scores = run_streaming(detector_config, series)
-    thresholder = Thresholder(threshold)
-    pred = np.fromiter(
-        (thresholder.update(float(s)) for s in scores.scores),
-        dtype=np.int8,
-        count=len(scores.scores),
-    )
-    return pred, scores.warmup
+    return _evaluate("batch", detector_config, threshold, series, labels, loss, max_delay)
 
 
 def evaluate_streaming(
@@ -270,10 +279,7 @@ def evaluate_streaming(
     max_delay: int = 0,
 ) -> EvalReport:
     """Single forward pass; equals a per-prefix refit by prefix consistency."""
-    loss = loss or LossSpec()
-    lab = _label_array(labels, len(series.values))
-    pred, warmup = _stream_decisions(detector_config, threshold, series)
-    return _build_report("streaming", pred, lab, loss, warmup, max_delay)
+    return _evaluate("streaming", detector_config, threshold, series, labels, loss, max_delay)
 
 
 @runtime_checkable
@@ -379,18 +385,17 @@ def run_population(
         pred = _lane_decisions(detector_config, threshold, population)
         if pred is not None:
             return pred
-    rows = [
-        _stream_decisions(detector_config, threshold, s)[0] for s in population.series
-    ]
-    return np.vstack(rows) if rows else np.zeros((0, 0), dtype=np.int8)
+    return np.vstack(
+        [score_and_decide("streaming", detector_config, threshold, s)[1] for s in population.series]
+    )
 
 
 def _lane_decisions(
     detector_config: DetectorConfig, threshold: ThresholdSpec, population: PopulationDataset
 ) -> np.ndarray | None:
-    """``_stream_decisions`` of every series, all series stepped together.
+    """Streaming decisions of every series, all series stepped together.
 
-    None when a score overflows, for one series at a time to refuse or skip.
+    None when a score overflows, for the one-series-at-a-time path to refuse.
     """
     values = np.array([s.values for s in population.series])
     if np.isnan(values).any():

@@ -45,8 +45,9 @@ from tadkit.core import (
     SpecError,
     TimeSeries,
 )
-from tadkit.detectors import METHODS
-from tadkit.thresholds import KINDS
+from tadkit.detectors import METHODS, DetectorConfig
+from tadkit.evaluation import score_and_decide
+from tadkit.thresholds import KINDS, ThresholdSpec
 
 
 def _write(path, text):
@@ -877,6 +878,27 @@ def test_detect_writes_scores_aligned_with_the_input(runner, tmp_path):
     (record,) = [r for r in _read_report(out) if r["record"] == "detect"]
     assert record["alert_count"] == sum(decisions)
     assert decisions[100] == 1  # the planted spike is flagged
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("protocol", ["streaming", "batch"])
+def test_detect_and_evaluate_decide_through_score_and_decide(runner, tmp_path, protocol, method):
+    path = _make_input(tmp_path)  # 240 points: every method scores at w=16
+    flags = ["--input", str(path), "--method", method, "--window", "16", "--protocol", protocol,
+             "--percentile", "0.5"]
+    for task in ("detect", "evaluate"):
+        result = runner.invoke(main, [task, "--out", str(tmp_path / task), *flags])
+        assert result.exit_code == 0, result.output
+    scores, decisions = score_and_decide(
+        protocol, DetectorConfig(method=method, window=16), ThresholdSpec(percentile=0.5),
+        load_series_csv(path),
+    )
+    assert 0 < decisions.sum() < len(decisions)
+    with open(tmp_path / "detect" / "scores.csv") as handle:
+        assert [int(row[2]) for row in list(csv.reader(handle))[1:]] == decisions.tolist()
+    (record,) = [r for r in _read_report(tmp_path / "evaluate") if r["record"] == "evaluate"]
+    assert record["alert_count"] == decisions.sum()
+    assert record["warmup_excluded"] == scores.warmup
 
 
 def test_evaluate_uses_the_inline_label_column(runner, tmp_path):

@@ -327,6 +327,9 @@ class TestValidation:
         (x if column == "target" else y)[30] = np.inf
         with pytest.raises(InputError, match="infinities"):
             _dataset(x, y=y)
+        (x if column == "target" else y)[30] = np.nan
+        with pytest.raises(InputError, match="resample first"):
+            run(config, _dataset(x, y=y))
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -334,6 +334,25 @@ def test_discord_batch_sees_both_sides():
     assert stream.scores[13] > 0.1          # streaming could not see it
 
 
+@pytest.mark.parametrize("w", [2, 3, 8])
+def test_discord_batch_scores_once_every_window_has_a_disjoint_one(w):
+    # below 3w - 1 points some middle window overlaps every other window
+    rng = np.random.default_rng(w)
+    config = DetectorConfig(method="left_discord", window=w)
+    for n in range(2 * w - 1, 3 * w + 1):
+        values = rng.standard_normal(n)
+        out = run_batch(config, _series(values))
+        assert out.warmup == (n if n < 3 * w - 1 else w - 1), n
+        for t in range(out.warmup, n):
+            s = t - w + 1
+            disjoint = [values[j : j + w] for j in range(n - w + 1) if abs(j - s) >= w]
+            # at w=2 every pair is a z-normalized twin, and the dot-product form
+            # of a zero distance is the square root of a rounding error
+            assert out.scores[t] == pytest.approx(
+                brute_nearest_distance(values[s : t + 1], disjoint), abs=1e-6
+            )
+
+
 # --- k-means windows ---------------------------------------------------------
 
 

@@ -1,0 +1,50 @@
+import importlib
+
+import tadkit
+
+_MODULES = (
+    "core", "datagen", "resample", "periodicity", "detectors", "thresholds", "evaluation",
+    "conditional", "cohort",
+)
+
+# the names the package exported before it derived them from its modules
+_EARLIER_NAMES = [
+    "__version__", "AcfProfile", "align", "AlignmentError", "AlwaysFlagPolicy",
+    "apply_batch", "autocorrelation", "BenchmarkResult", "CohortMinerConfig",
+    "ConditionalConfig", "ConditionalScorer", "CovariateSet", "DegenerateScaleError",
+    "detect_period_acf", "detect_period_autoperiod", "detect_period_fft",
+    "detect_period_peaks", "detection_delay", "DetectorConfig",
+    "DetectorThresholdPolicy", "EvalReport", "evaluate_batch", "evaluate_streaming",
+    "EventStream", "FeedbackLog", "FormatError", "generate_periodic",
+    "inject_point_anomalies", "InjectionConfig", "InputError", "is_missing",
+    "JointConfig", "JointScorer", "LabeledSeries", "LabelSequence", "LossSpec",
+    "make_detector", "MethodResult", "mine_rules", "mine_rules_over_time", "MISSING",
+    "NeverFlagPolicy", "oracle_fixed_threshold", "OrderingError", "PeriodEstimate",
+    "PeriodicGeneratorConfig", "PopulationDataset", "ProtocolError", "resample",
+    "ResampleSpec", "Rule", "RuleInterval", "run_batch", "run_conditional", "run_hil",
+    "run_joint", "run_period_benchmark", "run_population", "run_streaming",
+    "SchemaError", "ScoreSequence", "series_rng", "slice_prefix", "SpecError",
+    "StreamingDetector", "suggest_rate", "TadError", "Thresholder", "ThresholdSpec",
+    "TimeSeries",
+]
+
+
+def test_package_names_are_the_modules_names_in_order():
+    expected = ["__version__"]
+    for name in _MODULES:
+        expected += importlib.import_module(f"tadkit.{name}").__all__
+    assert tadkit.__all__ == expected
+    assert len(set(tadkit.__all__)) == len(tadkit.__all__)
+
+
+def test_every_package_name_resolves():
+    namespace = {}
+    exec("from tadkit import *", namespace)
+    assert [name for name in tadkit.__all__ if name not in namespace] == []
+    assert tadkit.resample is importlib.import_module("tadkit.resample").resample
+    assert callable(tadkit.resample)
+
+
+def test_no_earlier_name_is_lost():
+    assert len(_EARLIER_NAMES) == 70
+    assert set(_EARLIER_NAMES) <= set(tadkit.__all__)
