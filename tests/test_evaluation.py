@@ -25,6 +25,7 @@ from tadkit.evaluation import (
     evaluate_streaming,
     run_hil,
     run_population,
+    score_and_decide,
 )
 from tadkit.thresholds import Thresholder, ThresholdSpec
 
@@ -271,6 +272,12 @@ def test_batch_report_uses_the_batch_protocol_label():
     )
     assert report.protocol == "batch"
     assert report.recall > 0.0
+
+
+def test_score_and_decide_refuses_an_unknown_protocol():
+    series, _ = _spiky()
+    with pytest.raises(SpecError, match="protocol"):
+        score_and_decide("hil", DetectorConfig(method="ewma_residual"), ThresholdSpec(), series)
 
 
 def test_label_alignment_is_checked():
