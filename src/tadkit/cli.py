@@ -38,6 +38,7 @@ from . import __version__
 from .cohort import CohortMinerConfig, mine_rules, mine_rules_over_time
 from .conditional import ConditionalConfig, JointConfig, run_conditional, run_joint
 from .core import (
+    INT64,
     AlignmentError,
     CovariateSet,
     EventStream,
@@ -98,7 +99,7 @@ def _parse_timestamp(text: str, where: str) -> int:
     except ValueError:
         pass
     else:
-        if not -(2**63) <= epoch < 2**63:
+        if epoch not in INT64:
             raise FormatError(f"{where}: timestamp {text!r} is outside the int64 range")
         return epoch
     iso = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
@@ -989,7 +990,8 @@ def _execute(task: str, config: str | None, **flags: str | None) -> None:
         experiment = ExperimentConfig(
             task=task, seed=params.pop("seed"), out=params.pop("out"), params=params
         )
-        report = run_experiment(experiment)
+        with np.errstate(all="ignore"):  # an overflow surfaces as an InputError, not a warning
+            report = run_experiment(experiment)
         jsonl, summary = write_report(report, experiment.out)
     except (TadError, OSError) as err:
         _emit_error(task, err)

@@ -20,6 +20,7 @@ after scoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -111,7 +112,7 @@ class ConditionalScorer:
             raise InputError(
                 f"expected {self.n_covariates} covariates, got {len(cov)}"
             )
-        if not np.isfinite(x) or not np.all(np.isfinite(cov)):
+        if not isfinite(x) or not np.isfinite(cov).all():
             raise InputError("conditional scorer inputs must be finite")
         t, m, n = self.count, self._max_lag, self._n
         self.count += 1
@@ -194,7 +195,7 @@ class JointScorer:
         vec = np.asarray(vector, dtype=np.float64).reshape(-1)
         if len(vec) != self.dim:
             raise InputError(f"expected dimension {self.dim}, got {len(vec)}")
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise InputError("joint scorer inputs must be finite")
         self.count += 1
         return float(self._block(vec[None, :])[0])
@@ -244,7 +245,7 @@ class JointScorer:
             covs = np.array(history)[:, :, first:].transpose(2, 0, 1)
             solved = np.linalg.solve(covs + self._ridge, E[:, :, None])
             q = np.matmul(E[:, None, :], solved)[:, 0, 0]
-            scores[skip + first :] = np.sqrt(np.where(q > 0.0, q, 0.0))
+            scores[skip + first :] = np.sqrt(np.where(q <= 0.0, 0.0, q))
         return scores
 
 
@@ -269,7 +270,7 @@ def run_conditional(config: ConditionalConfig, data: CovariateSet) -> ScoreSeque
         block[:, 1:] = inputs.reshape(-1)[steps[:, None] * scorer._width + scorer._offsets]
         for t, a in zip(steps.tolist(), block):
             scores[t] = scorer._train(a, float(target[t]), t >= warmup)
-    return ScoreSequence.from_scores(scores)
+    return ScoreSequence(scores, min(warmup, len(target)))
 
 
 def run_joint(config: JointConfig, data: CovariateSet) -> ScoreSequence:
@@ -283,4 +284,4 @@ def run_joint(config: JointConfig, data: CovariateSet) -> ScoreSequence:
     scores = np.empty(len(matrix))
     for start in range(0, len(matrix), _BLOCK):
         scores[start : start + _BLOCK] = scorer._block(matrix[start : start + _BLOCK])
-    return ScoreSequence.from_scores(scores)
+    return ScoreSequence(scores, min(scorer.warmup, len(matrix)))

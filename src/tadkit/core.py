@@ -44,6 +44,9 @@ __all__ = [
 #: Sentinel for a missing reading inside a regular series.
 MISSING = float("nan")
 
+#: Every value an epoch-second timestamp, an interval or a grid offset may take.
+INT64 = range(-(2**63), 2**63)
+
 
 class TadError(Exception):
     """Base class for every error raised by this package."""
@@ -86,6 +89,13 @@ def is_missing(x) -> np.ndarray | bool:
     return np.isnan(x)
 
 
+def as_int64(value, what: str) -> int:
+    """``value`` as a Python int, refusing bools, non-integers and values outside int64."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or int(value) not in INT64:
+        raise SpecError(f"{what} must be an integer inside the int64 range, got {value!r}")
+    return int(value)
+
+
 def _readonly_float_array(values, *, allow_nan: bool, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
@@ -114,15 +124,14 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.interval, (int, np.integer)) or isinstance(self.interval, bool):
-            raise SpecError(f"interval must be an integer number of seconds, got {self.interval!r}")
-        if not isinstance(self.start, (int, np.integer)) or isinstance(self.start, bool):
-            raise SpecError(f"start must be integer epoch seconds, got {self.start!r}")
-        if self.interval <= 0:
-            raise SpecError(f"interval must be positive, got {self.interval}")
-        object.__setattr__(self, "start", int(self.start))
-        object.__setattr__(self, "interval", int(self.interval))
+        interval = as_int64(self.interval, "interval (seconds)")
+        start = as_int64(self.start, "start (epoch seconds)")
+        if interval <= 0:
+            raise SpecError(f"interval must be positive, got {interval}")
         arr = _readonly_float_array(self.values, allow_nan=True, what="series values")
+        as_int64(start + max(len(arr) - 1, 0) * interval, "the last timestamp")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "interval", interval)
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -201,6 +210,8 @@ class ScoreSequence:
 
     The first ``warmup`` entries are the NaN sentinel (the detector had not
     seen enough history to score them); every entry past the warmup is finite.
+    Scorers declare their warmup, so a score that overflows past it raises
+    :class:`InputError` instead of lengthening the warmup.
     """
 
     scores: np.ndarray
@@ -234,12 +245,6 @@ class ScoreSequence:
         )
 
     __hash__ = None  # type: ignore[assignment]
-
-    @classmethod
-    def from_scores(cls, scores: np.ndarray) -> "ScoreSequence":
-        """Wrap detector output whose warmup is its leading run of NaN sentinels."""
-        finite = np.nonzero(~np.isnan(scores))[0]
-        return cls(scores=scores, warmup=int(finite[0]) if finite.size else len(scores))
 
     @property
     def valid(self) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Streaming anomaly scorers with a strict prefix-only contract.
 
 Every detector consumes one point per ``update`` call and emits one score
-per call — a NaN sentinel while warming up, a finite value >= 0 after.
+per call — a NaN sentinel for the ``warmup`` it declares, a finite value >= 0
+after; a score that overflows past the warmup raises :class:`InputError`.
 The central law is prefix consistency: the score emitted at step t depends
 only on the first t points and the config, so streaming over a truncated
 series reproduces the full run bit for bit.  Anything that could break
@@ -151,7 +152,10 @@ class StreamingDetector(ABC):
         if not isfinite(x):
             raise InputError(f"detector input must be finite, got {x!r}")
         self.count += 1
-        return self._score(float(x))
+        score = self._score(float(x))
+        if not isfinite(score) and self.count > self.warmup:
+            raise InputError("scores past the warmup must be finite")
+        return score
 
 
 class _GrowingBuffer:
@@ -219,11 +223,11 @@ class _SaliencyKernel:
         return sal[:, :n]
 
     def newest_scores(self, windows: np.ndarray) -> np.ndarray:
-        """Relative saliency of the newest (last) point of each row, floored at 0."""
+        """Relative saliency of the newest (last) point of each row, floored at 0; NaN stays NaN."""
         sal = self(windows)
         mean_sal = np.add.reduce(sal, axis=1) / self.n
         score = (sal[:, -1] - mean_sal) / (mean_sal + _SAL_EPS)
-        return np.where(score > 0.0, score, 0.0)  # as max(0.0, score): NaN floors to 0
+        return np.where(score <= 0.0, 0.0, score)
 
 
 class _SpectralResidualDetector(StreamingDetector):
@@ -334,8 +338,8 @@ def _nearest_window_distance(query: np.ndarray, candidates: np.ndarray) -> float
         rows = candidates[~degenerate]
         # ||zc - zq||^2 = 2w - 2 zc.zq because both sides have norm sqrt(w)
         dots = (rows @ zq - c_mu[~degenerate] * zq.sum()) / c_sd[~degenerate]
-        d2 = 2.0 * w - 2.0 * dots
-        best = float(np.sqrt(max(0.0, d2.min())))
+        d2 = (2.0 * w - 2.0 * dots).min()
+        best = float(np.sqrt(0.0 if d2 <= 0.0 else d2))
     if degenerate.any():
         rows = candidates[degenerate]
         d2 = ((rows - query) ** 2).sum(axis=1)
@@ -453,7 +457,7 @@ class _AutoWindowDetector(StreamingDetector):
         for v in self._pending:
             last = self._inner.update(v)
         self._pending = []
-        return last if not np.isnan(last) else MISSING
+        return last
 
 
 _DETECTORS = {
@@ -479,13 +483,11 @@ def run_streaming(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
     values = series.values
     if np.isnan(values).any():
         raise InputError("detectors need a gap-free series; resample first")
-    if config.method == "spectral_residual" and config.window != "auto":
-        w = int(config.window)
-        return ScoreSequence(_spectral_residual_stream(config, values), min(w - 1, len(values)))
     det = make_detector(config)
-    scores = np.empty(len(values), dtype=np.float64)
-    for i, x in enumerate(values):
-        scores[i] = det.update(float(x))
+    if config.method == "spectral_residual" and config.window != "auto":
+        scores = _spectral_residual_stream(config, values)
+    else:
+        scores = np.array([det.update(x) for x in values.tolist()], dtype=np.float64)
     return ScoreSequence(scores, min(det.warmup, len(values)))
 
 
@@ -514,6 +516,7 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
     n = len(values)
     method = config.method
     scores = np.full(n, MISSING, dtype=np.float64)
+    warmup = 0
     if method == "spectral_residual":
         if n:
             kernel = _SaliencyKernel(n, config.sr_ma_width, _SR_PAD_POINTS)
@@ -532,18 +535,20 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
     elif method == "left_discord":
         w = _resolve_window(config, series)
         # from 3w - 1 points on, every window has one it does not overlap
-        if n >= 3 * w - 1:
+        warmup = w - 1 if n >= 3 * w - 1 else n
+        if warmup < n:
             windows = sliding_window_view(values, w)
             for s in range(len(windows)):
                 pool = np.delete(windows, slice(max(0, s - w + 1), s + w), axis=0)
                 scores[s + w - 1] = _nearest_window_distance(windows[s], pool)
     else:  # kmeans_window
         w, k = _resolve_window(config, series), config.n_clusters
-        if n >= max(k, 1) * w:
+        warmup = w - 1 if n >= k * w else n
+        if warmup < n:
             windows = sliding_window_view(values, w)
             centers = _fit_centers(windows, k)
             scores[w - 1 :] = np.sqrt(_center_distances(windows, centers).min(axis=1))
-    return ScoreSequence.from_scores(scores)
+    return ScoreSequence(scores, warmup)
 
 
 def _resolve_window(config: DetectorConfig, series: TimeSeries) -> int:

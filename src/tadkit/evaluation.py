@@ -382,9 +382,7 @@ def run_population(
     """
     if (detector_config.method == "ewma_residual" and detector_config.window != "auto"
             and threshold.kind != "trailing_percentile"):
-        pred = _lane_decisions(detector_config, threshold, population)
-        if pred is not None:
-            return pred
+        return _lane_decisions(detector_config, threshold, population)
     return np.vstack(
         [score_and_decide("streaming", detector_config, threshold, s)[1] for s in population.series]
     )
@@ -392,11 +390,8 @@ def run_population(
 
 def _lane_decisions(
     detector_config: DetectorConfig, threshold: ThresholdSpec, population: PopulationDataset
-) -> np.ndarray | None:
-    """Streaming decisions of every series, all series stepped together.
-
-    None when a score overflows, for the one-series-at-a-time path to refuse.
-    """
+) -> np.ndarray:
+    """Streaming decisions of every series, all series stepped together."""
     values = np.array([s.values for s in population.series])
     if np.isnan(values).any():
         raise InputError("detectors need a gap-free series; resample first")
@@ -410,4 +405,6 @@ def _lane_decisions(
             if t >= detector.warmup:
                 pred[t] = score > thresholder.threshold
                 thresholder._absorb(score)
-    return np.ascontiguousarray(pred.T) if np.isfinite(scores[detector.warmup :]).all() else None
+    if not np.isfinite(scores[detector.warmup :]).all():
+        raise InputError("scores past the warmup must be finite")
+    return np.ascontiguousarray(pred.T)

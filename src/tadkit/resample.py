@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MISSING, EventStream, SpecError, TimeSeries
+from .core import INT64, MISSING, EventStream, SpecError, TimeSeries, as_int64
 
 __all__ = ["ResampleSpec", "resample", "suggest_rate"]
 
@@ -38,6 +38,8 @@ class ResampleSpec:
     max_carry_bins: int = 5
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "interval", as_int64(self.interval, "interval"))
+        object.__setattr__(self, "bin_anchor", as_int64(self.bin_anchor, "bin_anchor"))
         if self.interval <= 0:
             raise SpecError(f"interval must be positive, got {self.interval}")
         if self.aggregation not in _AGGREGATIONS:
@@ -63,6 +65,9 @@ def resample(events: EventStream, spec: ResampleSpec) -> TimeSeries:
         return TimeSeries(spec.bin_anchor, spec.interval, np.empty(0))
 
     ts = events.timestamps.astype(np.int64)
+    # sorted stamps: the first and the last bound every offset from the anchor
+    if int(ts[0]) - spec.bin_anchor not in INT64 or int(ts[-1]) - spec.bin_anchor not in INT64:
+        raise SpecError(f"event stamps lie farther than int64 allows from bin_anchor {spec.bin_anchor}")
     vals = events.values
     bins = (ts - spec.bin_anchor) // spec.interval
     first_bin = int(bins[0])

@@ -5,6 +5,7 @@ import json
 import math
 import types
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1136,6 +1137,62 @@ def test_epoch_timestamps_beyond_int64_give_one_json_error_line(runner, tmp_path
     payload = json.loads(line)
     assert payload["error"] == "FormatError"
     assert "line 3" in payload["message"] and "int64" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "task, flags",
+    [
+        ("datagen", ["--length", "200", "--start", "-99999999999999999999"]),
+        ("resample", ["--interval", "1000000000000000000000"]),
+        ("resample", ["--interval", "60", "--anchor", "-9223372036854775808"]),
+        ("datagen", ["--length", "200", "--interval", "9223372036854775807"]),  # stamps wrap
+    ],
+    ids=["datagen_start", "resample_interval", "resample_anchor", "datagen_interval"],
+)
+def test_timestamp_arithmetic_past_int64_gives_one_json_error_line(runner, tmp_path, task, flags):
+    args = [task, *flags, "--out", str(tmp_path / "out")]
+    if task == "resample":
+        args += ["--input", str(_write(tmp_path / "events.csv", "timestamp,value\n0,1\n60,2\n"))]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, repr(result.exception)
+    (line,) = result.stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "SpecError" and "int64" in payload["message"]
+
+
+_PAIR = np.r_[np.zeros(60), 1e308, -1e308, np.zeros(58)]
+_ALTERNATION = np.array([1e308, -1e308] * 100)
+
+
+def _overflow_input(tmp_path, task):
+    path = tmp_path / "in.csv"
+    if task == "conditional":
+        rows = "".join(f"{i * 60},{x!r},{i % 7}\n" for i, x in enumerate(_ALTERNATION.tolist()))
+        _write(path, "timestamp,target,covariate\n" + rows)
+    else:
+        values = _PAIR if task == "evaluate" else _ALTERNATION
+        write_series_csv(path, TimeSeries(0, 60, values), np.zeros(len(values), dtype=np.int8))
+    return path
+
+
+@pytest.mark.parametrize(
+    "task, flags",
+    [
+        ("evaluate", ["--protocol", "batch", "--method", "spectral_residual", "--window", "8"]),
+        ("conditional", []),
+        ("hil", ["--method", "ewma_residual"]),
+    ],
+)
+def test_an_overflowing_score_gives_one_json_error_line_and_no_warning(runner, tmp_path, task, flags):
+    # these used to exit 0: all warmup, or no alert with F1 1.0
+    args = [task, "--input", str(_overflow_input(tmp_path, task)), *flags, "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, args)
+    assert result.exit_code == 2, repr(result.exception)
+    (line,) = result.stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "InputError" and "past the warmup" in payload["message"]
 
 
 _BAD_CELLS = {

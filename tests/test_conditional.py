@@ -275,6 +275,41 @@ def test_both_scorers_are_prefix_consistent():
         assert np.array_equal(full[:70], cut, equal_nan=True)
 
 
+_RUNS = [
+    (run_conditional, ConditionalConfig()),
+    (run_conditional, ConditionalConfig(ar_order=0, covariate_lags=2)),
+    (run_joint, JointConfig()),
+    (run_joint, JointConfig(differencing=False)),
+    (run_joint, JointConfig(min_history=5)),
+]
+_RUN_IDS = ["conditional", "conditional_lagged_covariate", "joint", "joint_undifferenced",
+            "joint_min_history"]
+
+
+@pytest.mark.parametrize("run, config", _RUNS, ids=_RUN_IDS)
+def test_declared_warmup_is_the_leading_sentinel_run_on_ordinary_input(run, config):
+    rng = np.random.default_rng(28)
+    y = rng.standard_normal(16)
+    x = 0.8 * y + 0.1 * rng.standard_normal(16)
+    for n in range(len(x) + 1):
+        out = run(config, _dataset(x[:n], y=y[:n]))
+        real = np.nonzero(~np.isnan(out.scores))[0]
+        assert out.warmup == (int(real[0]) if real.size else n), n
+
+
+@pytest.mark.parametrize("run, config", _RUNS, ids=_RUN_IDS)
+@pytest.mark.parametrize(
+    "target",
+    [np.r_[np.zeros(60), 1e308, -1e308, np.zeros(58)], np.array([1e308, -1e308] * 60)],
+    ids=["adjacent_pair", "alternation"],
+)
+def test_an_overflowing_score_past_the_warmup_raises(run, config, target):
+    # finite input whose arithmetic overflows: no longer all warmup, nor floored to 0
+    data = _dataset(target, y=np.arange(len(target)) % 7.0)
+    with np.errstate(all="ignore"), pytest.raises(InputError, match="past the warmup"):
+        run(config, data)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",

@@ -39,6 +39,21 @@ def test_time_series_rejects_bad_interval():
         TimeSeries(0, -60, np.array([1.0]))
 
 
+@pytest.mark.parametrize(
+    "start, interval, n",
+    [(-(2**63) - 1, 60, 1), (2**63, 60, 0), (0, 2**63, 1), (-(2**63), 2**63, 2), (2**63 - 120, 60, 3)],
+)
+def test_time_series_stamps_stay_inside_int64(start, interval, n):
+    with pytest.raises(SpecError, match="int64"):
+        TimeSeries(start, interval, np.zeros(n))
+
+
+def test_time_series_may_reach_the_int64_edges():
+    assert TimeSeries(2**63 - 121, 60, np.zeros(3)).timestamps()[-1] == 2**63 - 1
+    assert len(TimeSeries(np.int64(-(2**63)), np.int64(2**63 - 1), np.zeros(1))) == 1
+    assert len(TimeSeries(-(2**63), 60, np.zeros(0))) == 0
+
+
 def test_time_series_values_are_read_only():
     ts = TimeSeries(0, 1, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):

@@ -407,3 +407,72 @@ def test_auto_window_falls_back_when_period_undetectable():
     out = run_streaming(config, _series(ramp))
     assert out.warmup == 99
     assert np.isfinite(out.scores[99:]).all()
+
+
+# --- declared warmup ---------------------------------------------------------
+
+
+def leading_sentinel_count(scores):
+    """How many scores lead before the first non-NaN one: the warmup read off the output."""
+    real = np.nonzero(~np.isnan(scores))[0]
+    return int(real[0]) if real.size else len(scores)
+
+
+_SWEEP_K = 3
+_SWEEP_RESOLVE_AT = 12
+
+
+def _sweep_lengths(window):
+    if window == "auto":  # the resolved window depends on the series, so take every length
+        return range(3 * _SWEEP_RESOLVE_AT + 2)
+    w, k = window, _SWEEP_K
+    return sorted({0, 1, 2, w - 1, w, w + 1, 2 * w - 1, 2 * w, 3 * w - 2, 3 * w - 1, 3 * w,
+                   k * w - 1, k * w, k * w + 1, 4 * w})
+
+
+@pytest.mark.parametrize("window", [2, 3, 8, "auto"])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("run", [run_batch, run_streaming])
+def test_declared_warmup_is_the_leading_sentinel_run_on_ordinary_input(run, method, window):
+    # sr_ma_width 1 lets spectral residual take a 2-point window and batch series of 1 and 2
+    config = DetectorConfig(method=method, window=window, n_clusters=_SWEEP_K, sr_ma_width=1,
+                            auto_resolve_at=_SWEEP_RESOLVE_AT, auto_fallback=4)
+    rng = np.random.default_rng(3)
+    values = np.sin(2 * np.pi * np.arange(50) / 5.0) + 0.1 * rng.standard_normal(50)
+    for n in _sweep_lengths(window):
+        out = run(config, _series(values[:n]))
+        assert out.warmup == leading_sentinel_count(out.scores), n
+
+
+_ADJACENT_PAIR = np.r_[np.zeros(60), 1e308, -1e308, np.zeros(58)]
+_ALTERNATION = np.array([1e308, -1e308] * 60)
+# Overflows that still read as a plain number (left discord's window std
+# overflows and every pair sits sqrt(2w) apart; batch EWMA's global scale
+# overflows and every score reads 0) are left out.
+_OVERFLOWS = [
+    (run, method, name, values)
+    for run in (run_batch, run_streaming)
+    for method in METHODS
+    for name, values in (("adjacent_pair", _ADJACENT_PAIR), ("alternation", _ALTERNATION))
+    if (method, name) != ("left_discord", "alternation")
+    and (run, method, name) != (run_batch, "ewma_residual", "adjacent_pair")
+]
+
+
+@pytest.mark.parametrize(
+    "run, method, name, values", _OVERFLOWS,
+    ids=[f"{run.__name__}-{method}-{name}" for run, method, name, _ in _OVERFLOWS],
+)
+def test_a_non_finite_score_past_the_warmup_raises(run, method, name, values):
+    # finite input whose arithmetic overflows: no longer all warmup, nor floored to 0
+    with np.errstate(all="ignore"), pytest.raises(InputError, match="past the warmup"):
+        run(DetectorConfig(method=method, window=8), _series(values))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_update_raises_on_a_non_finite_score_past_the_warmup(method):
+    det = make_detector(DetectorConfig(method=method, window=8))
+    with np.errstate(all="ignore"), pytest.raises(InputError, match="past the warmup"):
+        for x in _ADJACENT_PAIR:
+            score = det.update(x)
+            assert np.isfinite(score) == (det.count > det.warmup)

@@ -418,3 +418,21 @@ def test_population_lanes_refuse_gaps_as_one_series_does():
     for spec in (ThresholdSpec(kind="k_sigma"), ThresholdSpec()):  # lanes, then per series
         with pytest.raises(InputError, match="gap-free"):
             run_population(DetectorConfig(method="ewma_residual"), spec, gappy)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.r_[np.zeros(60), 1e308, -1e308, np.zeros(58)], np.array([1e308, -1e308] * 60)],
+    ids=["adjacent_pair", "alternation"],
+)
+@pytest.mark.parametrize(
+    "spec", [ThresholdSpec(kind="k_sigma"), ThresholdSpec()], ids=["lanes", "per_series"]
+)
+def test_hil_and_population_raise_on_a_non_finite_score_past_the_warmup(values, spec):
+    # finite input whose EWMA residual overflows: not zero alerts and a perfect F1
+    config = DetectorConfig(method="ewma_residual")
+    with np.errstate(all="ignore"):
+        with pytest.raises(InputError, match="past the warmup"):
+            run_hil(DetectorThresholdPolicy(config, spec), _series(values), np.zeros(len(values)))
+        with pytest.raises(InputError, match="past the warmup"):
+            run_population(config, spec, _population([values, np.zeros(len(values))]))

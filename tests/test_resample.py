@@ -105,6 +105,23 @@ def test_carry_forward_is_bounded():
     assert out.values[9] == 7.0
 
 
+@pytest.mark.parametrize(
+    "kwargs", [dict(interval=2**63), dict(interval=60, bin_anchor=-(2**63) - 1), dict(interval=60.0)]
+)
+def test_spec_grid_fields_are_int64_integers(kwargs):
+    with pytest.raises(SpecError, match="int64"):
+        ResampleSpec(**kwargs)
+
+
+def test_event_offsets_from_the_anchor_stay_inside_int64():
+    spec = ResampleSpec(interval=60, bin_anchor=-(2**63))
+    with pytest.raises(SpecError, match="int64"):
+        resample(EventStream(np.array([0, 60]), np.array([1.0, 2.0])), spec)
+    edge = EventStream(np.array([-(2**63) + 1, -(2**63) + 61]), np.array([1.0, 2.0]))
+    out = resample(edge, spec)
+    assert out.start == -(2**63) and out.values.tolist() == [1.0, 2.0]
+
+
 def test_empty_stream_resamples_to_empty_series():
     out = resample(EventStream(np.array([], int), np.array([])), ResampleSpec(interval=60))
     assert len(out) == 0
