@@ -1184,7 +1184,7 @@ def _overflow_input(tmp_path, task):
     ],
 )
 def test_an_overflowing_score_gives_one_json_error_line_and_no_warning(runner, tmp_path, task, flags):
-    # these used to exit 0: all warmup, or no alert with F1 1.0
+    # an overflow must not pass for all warmup, or for no alert and F1 1.0
     args = [task, "--input", str(_overflow_input(tmp_path, task)), *flags, "--out", str(tmp_path / "out")]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -304,7 +304,7 @@ def test_declared_warmup_is_the_leading_sentinel_run_on_ordinary_input(run, conf
     ids=["adjacent_pair", "alternation"],
 )
 def test_an_overflowing_score_past_the_warmup_raises(run, config, target):
-    # finite input whose arithmetic overflows: no longer all warmup, nor floored to 0
+    # finite input whose arithmetic overflows must not pass for warmup or for a score of 0
     data = _dataset(target, y=np.arange(len(target)) % 7.0)
     with np.errstate(all="ignore"), pytest.raises(InputError, match="past the warmup"):
         run(config, data)

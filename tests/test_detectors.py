@@ -464,7 +464,7 @@ _OVERFLOWS = [
     ids=[f"{run.__name__}-{method}-{name}" for run, method, name, _ in _OVERFLOWS],
 )
 def test_a_non_finite_score_past_the_warmup_raises(run, method, name, values):
-    # finite input whose arithmetic overflows: no longer all warmup, nor floored to 0
+    # finite input whose arithmetic overflows must not pass for warmup or for a score of 0
     with np.errstate(all="ignore"), pytest.raises(InputError, match="past the warmup"):
         run(DetectorConfig(method=method, window=8), _series(values))
 

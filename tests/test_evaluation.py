@@ -429,7 +429,7 @@ def test_population_lanes_refuse_gaps_as_one_series_does():
     "spec", [ThresholdSpec(kind="k_sigma"), ThresholdSpec()], ids=["lanes", "per_series"]
 )
 def test_hil_and_population_raise_on_a_non_finite_score_past_the_warmup(values, spec):
-    # finite input whose EWMA residual overflows: not zero alerts and a perfect F1
+    # finite input whose EWMA residual overflows must not pass for no alert and F1 1.0
     config = DetectorConfig(method="ewma_residual")
     with np.errstate(all="ignore"):
         with pytest.raises(InputError, match="past the warmup"):
