@@ -871,7 +871,7 @@ TASK_PARAMS: dict[str, dict[str, Param]] = {
         ),
         "detect": _DETECT,
         "evaluate": _LABELED,
-        "hil": _LABELED,
+        "hil": tuple(param for param in _LABELED if param.key != "protocol"),
         "bench-period": (
             Param("n_series", int, 1000, help="Generator draws to score."),
             Param("methods", str, ",".join(DEFAULT_METHODS), help="Comma-separated period methods."),

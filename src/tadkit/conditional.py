@@ -126,7 +126,10 @@ class ConditionalScorer:
             return MISSING
         # every index is in range; "clip" lets take write to ``out`` unbuffered
         self._rows.take(self._gather[n], out=self._lagged, mode="clip")
-        return self._train(self._a, float(x), scoring=t >= self.warmup)
+        score = self._train(self._a, float(x), scoring=t >= self.warmup)
+        if not isfinite(score) and self.count > self.warmup:
+            raise InputError("scores past the warmup must be finite")
+        return score
 
     def _train(self, a: np.ndarray, x: float, scoring: bool) -> float:
         """One RLS step on regressor ``a`` and target ``x``: score, then learn."""
@@ -198,7 +201,10 @@ class JointScorer:
         if not np.isfinite(vec).all():
             raise InputError("joint scorer inputs must be finite")
         self.count += 1
-        return float(self._block(vec[None, :])[0])
+        score = float(self._block(vec[None, :])[0])
+        if not isfinite(score) and self.count > self.warmup:
+            raise InputError("scores past the warmup must be finite")
+        return score
 
     def _block(self, rows: np.ndarray) -> np.ndarray:
         """Scores of the finite ``(m, dim)`` vectors ``rows``; state moves past them."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from math import ceil, isfinite
+from math import ceil, isfinite, isnan, sqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -158,23 +158,31 @@ class StreamingDetector(ABC):
         return score
 
 
-class _GrowingBuffer:
-    """Append-only float64 buffer with amortized O(1) append."""
+class _WindowStore:
+    """Every completed ``w``-point window of a series, one row of ``rows[:n]``
+    each, with its mean ``mu`` and standard deviation ``sd``, taken once, when
+    the window completes.  Batch passes ``values``; streaming ``push``es."""
 
-    def __init__(self) -> None:
-        self._data = np.empty(256, dtype=np.float64)
-        self.n = 0
+    def __init__(self, w: int, values: np.ndarray | None = None):
+        # pushed points are finite, so a NaN left in row n marks it as still filling
+        rows = np.full((64, w), np.nan) if values is None else sliding_window_view(values, w).copy()
+        self.rows, self.mu, self.sd = rows, rows.mean(axis=1), rows.std(axis=1)
+        self.n = 0 if values is None else len(rows)
 
-    def append(self, x: float) -> None:
-        if self.n == len(self._data):
-            grown = np.empty(2 * len(self._data), dtype=np.float64)
-            grown[: self.n] = self._data
-            self._data = grown
-        self._data[self.n] = x
-        self.n += 1
-
-    def view(self) -> np.ndarray:
-        return self._data[: self.n]
+    def push(self, x: float) -> None:
+        """Shift ``x`` into row ``n``; the ``w``-th point and each one after complete it."""
+        n, row = self.n, self.rows[self.n]
+        row[:-1] = row[1:]
+        row[-1] = x
+        if not isnan(row[0]):
+            # np.mean and np.std, spelled out to skip their per-call overhead
+            mu = np.add.reduce(row) / len(row)
+            dev = row - mu
+            self.mu[n], self.sd[n] = mu, sqrt(np.add.reduce(dev * dev) / len(row))
+            self.n = n = n + 1
+            if n == len(self.rows):
+                self.rows, self.mu, self.sd = (np.concatenate([a, a]) for a in (self.rows, self.mu, self.sd))
+            self.rows[n] = row
 
 
 class _SaliencyKernel:
@@ -302,47 +310,44 @@ class _EwmaResidualDetector(StreamingDetector):
 class _LeftDiscordDetector(StreamingDetector):
     def __init__(self, config: DetectorConfig):
         super().__init__(config)
-        self._buf = _GrowingBuffer()
         self._w = int(config.window)
+        self._windows = _WindowStore(self._w)
 
     @property
     def warmup(self) -> int:
         return 2 * self._w - 1
 
     def _score(self, x: float) -> float:
-        self._buf.append(x)
+        self._windows.push(x)
         w = self._w
         if self.count < 2 * w:
             return MISSING
-        buf = self._buf.view()
-        return _nearest_window_distance(buf[-w:], sliding_window_view(buf[: self.count - w], w))
+        return _nearest_window_distance(self._windows, self._windows.n - 1, slice(self._windows.n - w))
 
 
-def _nearest_window_distance(query: np.ndarray, candidates: np.ndarray) -> float:
-    """Distance from ``query`` to its nearest candidate window.
+def _nearest_window_distance(windows: _WindowStore, q: int, pool: slice | np.ndarray) -> float:
+    """Distance from row ``q`` of ``windows`` to its nearest row in ``pool``.
 
     Pairs are compared z-normalized; any pair where either side has ~zero
     standard deviation falls back to the raw Euclidean distance for that
-    pair (z-normalizing a flat window would be 0/0).
+    pair (z-normalizing a flat window would be 0/0).  A standard deviation
+    that overflowed makes the distance NaN, not a plain number.
     """
-    w = len(query)
-    q_mu = query.mean()
-    q_sd = query.std()
-    c_mu = candidates.mean(axis=1)
-    c_sd = candidates.std(axis=1)
-
+    query, q_mu, q_sd = windows.rows[q], windows.mu[q], windows.sd[q]
+    candidates, c_mu, c_sd = windows.rows[pool], windows.mu[pool], windows.sd[pool]
+    if not (isfinite(q_sd) and np.isfinite(c_sd).all()):
+        return np.nan
     degenerate = (c_sd <= _ZNORM_EPS) | (q_sd <= _ZNORM_EPS)
     best = np.inf
     if not degenerate.all():
+        fine = ~degenerate if degenerate.any() else slice(None)  # a mask would copy every row
         zq = (query - q_mu) / q_sd
-        rows = candidates[~degenerate]
         # ||zc - zq||^2 = 2w - 2 zc.zq because both sides have norm sqrt(w)
-        dots = (rows @ zq - c_mu[~degenerate] * zq.sum()) / c_sd[~degenerate]
-        d2 = (2.0 * w - 2.0 * dots).min()
+        dots = (candidates[fine] @ zq - c_mu[fine] * zq.sum()) / c_sd[fine]
+        d2 = (2.0 * len(query) - 2.0 * dots).min()
         best = float(np.sqrt(0.0 if d2 <= 0.0 else d2))
     if degenerate.any():
-        rows = candidates[degenerate]
-        d2 = ((rows - query) ** 2).sum(axis=1)
+        d2 = ((candidates[degenerate] - query) ** 2).sum(axis=1)
         best = min(best, float(np.sqrt(d2.min())))
     return best
 
@@ -354,14 +359,12 @@ def _maximin_centers(windows: np.ndarray, k: int) -> np.ndarray:
     subsequent center is the window farthest from all chosen centers.
     Ties break toward the lowest index.
     """
-    first = int(np.argmax(((windows - windows.mean(axis=0)) ** 2).sum(axis=1)))
-    chosen = [first]
-    min_d2 = ((windows - windows[first]) ** 2).sum(axis=1)
+    chosen = [int(np.argmax(((windows - windows.mean(axis=0)) ** 2).sum(axis=1)))]
+    min_d2 = np.inf
     while len(chosen) < k:
-        nxt = int(np.argmax(min_d2))
-        chosen.append(nxt)
-        min_d2 = np.minimum(min_d2, ((windows - windows[nxt]) ** 2).sum(axis=1))
-    return windows[chosen].copy()
+        min_d2 = np.minimum(min_d2, ((windows - windows[chosen[-1]]) ** 2).sum(axis=1))
+        chosen.append(int(np.argmax(min_d2)))
+    return windows[chosen]
 
 
 def _lloyd(windows: np.ndarray, centers: np.ndarray, max_iter: int = 50) -> np.ndarray:
@@ -389,7 +392,7 @@ def _lloyd(windows: np.ndarray, centers: np.ndarray, max_iter: int = 50) -> np.n
 
 def _fit_centers(windows: np.ndarray, k: int) -> np.ndarray:
     """k centers of ``windows``: maximin seeding, then Lloyd iterations."""
-    return _lloyd(windows.copy(), _maximin_centers(windows, k))
+    return _lloyd(windows, _maximin_centers(windows, k))
 
 
 def _center_distances(windows: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -400,8 +403,8 @@ def _center_distances(windows: np.ndarray, centers: np.ndarray) -> np.ndarray:
 class _KmeansWindowDetector(StreamingDetector):
     def __init__(self, config: DetectorConfig):
         super().__init__(config)
-        self._buf = _GrowingBuffer()
         self._w = int(config.window)
+        self._windows = _WindowStore(self._w)
         self._k = config.n_clusters
         self._cadence = config.refit_cadence or self._w
         self._centers: np.ndarray | None = None
@@ -411,13 +414,14 @@ class _KmeansWindowDetector(StreamingDetector):
         return self._k * self._w - 1
 
     def _score(self, x: float) -> float:
-        self._buf.append(x)
+        self._windows.push(x)
         w, k = self._w, self._k
         if self.count < k * w:
             return MISSING
+        rows, n = self._windows.rows, self._windows.n
         if (self.count - k * w) % self._cadence == 0:
-            self._centers = _fit_centers(sliding_window_view(self._buf.view(), w), k)
-        return float(np.sqrt(_center_distances(self._buf.view()[None, -w:], self._centers).min()))
+            self._centers = _fit_centers(rows[:n], k)
+        return float(np.sqrt(_center_distances(rows[n - 1 : n], self._centers).min()))
 
 
 class _AutoWindowDetector(StreamingDetector):
@@ -531,21 +535,22 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
             resid[i] = 0.0 if i == 0 else x - mean
             mean = x if i == 0 else mean + a * resid[i]
         scale = max(float(np.abs(resid).mean()) if n else 0.0, config.scale_floor)
-        scores = np.abs(resid) / scale
+        # an overflowed scale would read every score as 0
+        scores = np.abs(resid) / (scale if isfinite(scale) else np.nan)
     elif method == "left_discord":
         w = _resolve_window(config, series)
         # from 3w - 1 points on, every window has one it does not overlap
         warmup = w - 1 if n >= 3 * w - 1 else n
         if warmup < n:
-            windows = sliding_window_view(values, w)
-            for s in range(len(windows)):
-                pool = np.delete(windows, slice(max(0, s - w + 1), s + w), axis=0)
-                scores[s + w - 1] = _nearest_window_distance(windows[s], pool)
+            windows = _WindowStore(w, values)
+            for s in range(windows.n):
+                pool = np.r_[: max(0, s - w + 1), s + w : windows.n]
+                scores[s + w - 1] = _nearest_window_distance(windows, s, pool)
     else:  # kmeans_window
         w, k = _resolve_window(config, series), config.n_clusters
         warmup = w - 1 if n >= k * w else n
         if warmup < n:
-            windows = sliding_window_view(values, w)
+            windows = _WindowStore(w, values).rows
             centers = _fit_centers(windows, k)
             scores[w - 1 :] = np.sqrt(_center_distances(windows, centers).min(axis=1))
     return ScoreSequence(scores, warmup)

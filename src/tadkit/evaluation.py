@@ -138,7 +138,6 @@ class EvalReport:
     warmup_excluded: int
     detection_delays: tuple[int, ...]
     missed_events: int
-    diagnostic_only: bool = False
 
     def __post_init__(self) -> None:
         if self.regret < 0:

@@ -245,9 +245,9 @@ def oracle_fixed_threshold(
 ) -> tuple[float, float]:
     """Best-F1 fixed threshold in hindsight. DIAGNOSTIC ONLY.
 
-    Needs the ground truth of every point, which no deployed system has;
-    reports built from it must carry the diagnostic_only flag.  Returns
-    ``(threshold, f1)`` maximizing F1 of ``score > threshold``.
+    Needs the ground truth of every point, which no deployed system has,
+    so no report carries it.  Returns ``(threshold, f1)`` maximizing F1 of
+    ``score > threshold``.
     """
     arr = np.asarray(scores, dtype=np.float64)
     lab = np.asarray(labels)

@@ -1046,6 +1046,20 @@ def test_unknown_config_keys_are_rejected(runner, tmp_path):
     assert "n_serise" in payload["message"]
 
 
+def test_hil_has_no_protocol_key(runner, tmp_path):
+    # the interactive loop only streams, so a protocol key would only be echoed
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"task": "hil", "protocol": "batch"}))
+    path, out = _make_input(tmp_path), tmp_path / "out"
+    result = runner.invoke(main, ["hil", "--config", str(config), "--input", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    (line,) = result.stderr.splitlines()
+    assert "unknown config keys for hil: ['protocol']" in json.loads(line)["message"]
+    result = runner.invoke(main, ["hil", "--input", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "protocol" not in _read_report(out)[0]["config"]
+
+
 def test_flags_override_config_file_values(runner, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"seed": 5, "n_series": 2}))

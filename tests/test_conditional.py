@@ -297,17 +297,32 @@ def test_declared_warmup_is_the_leading_sentinel_run_on_ordinary_input(run, conf
         assert out.warmup == (int(real[0]) if real.size else n), n
 
 
-@pytest.mark.parametrize("run, config", _RUNS, ids=_RUN_IDS)
-@pytest.mark.parametrize(
+_OVERFLOWING = pytest.mark.parametrize(
     "target",
     [np.r_[np.zeros(60), 1e308, -1e308, np.zeros(58)], np.array([1e308, -1e308] * 60)],
     ids=["adjacent_pair", "alternation"],
 )
+
+
+@pytest.mark.parametrize("run, config", _RUNS, ids=_RUN_IDS)
+@_OVERFLOWING
 def test_an_overflowing_score_past_the_warmup_raises(run, config, target):
     # finite input whose arithmetic overflows must not pass for warmup or for a score of 0
     data = _dataset(target, y=np.arange(len(target)) % 7.0)
     with np.errstate(all="ignore"), pytest.raises(InputError, match="past the warmup"):
         run(config, data)
+
+
+@pytest.mark.parametrize("run, config", _RUNS, ids=_RUN_IDS)
+@_OVERFLOWING
+def test_update_raises_on_an_overflowing_score_past_the_warmup(run, config, target):
+    # the per-point scorers refuse what their run drivers refuse
+    conditional = run is run_conditional
+    scorer = ConditionalScorer(config, n_covariates=1) if conditional else JointScorer(config, dim=2)
+    with np.errstate(all="ignore"), pytest.raises(InputError, match="past the warmup"):
+        for x, y in zip(target.tolist(), (np.arange(len(target)) % 7.0).tolist()):
+            score = scorer.update(x, (y,)) if conditional else scorer.update((x, y))
+            assert np.isfinite(score) == (scorer.count > scorer.warmup)
 
 
 class TestValidation:

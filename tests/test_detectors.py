@@ -446,16 +446,11 @@ def test_declared_warmup_is_the_leading_sentinel_run_on_ordinary_input(run, meth
 
 _ADJACENT_PAIR = np.r_[np.zeros(60), 1e308, -1e308, np.zeros(58)]
 _ALTERNATION = np.array([1e308, -1e308] * 60)
-# Overflows that still read as a plain number (left discord's window std
-# overflows and every pair sits sqrt(2w) apart; batch EWMA's global scale
-# overflows and every score reads 0) are left out.
 _OVERFLOWS = [
     (run, method, name, values)
     for run in (run_batch, run_streaming)
     for method in METHODS
     for name, values in (("adjacent_pair", _ADJACENT_PAIR), ("alternation", _ALTERNATION))
-    if (method, name) != ("left_discord", "alternation")
-    and (run, method, name) != (run_batch, "ewma_residual", "adjacent_pair")
 ]
 
 
