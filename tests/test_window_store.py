@@ -13,6 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from tadkit.core import TimeSeries
 from tadkit.detectors import (
+    _ZNORM_EPS,
     DetectorConfig,
     _center_distances,
     _fit_centers,
@@ -20,8 +21,6 @@ from tadkit.detectors import (
     run_batch,
     run_streaming,
 )
-
-_ZNORM_EPS = 1e-12
 
 
 def nearest_window_distance(query: np.ndarray, candidates: np.ndarray) -> float:
