@@ -1014,6 +1014,16 @@ def _option(param: Param) -> click.Option:
     return click.Option([_flag(param.key)], metavar=metavar, help=f"{param.help} [{default}]")
 
 
+class _TaskCommand(click.Command):
+    """A task whose unparsable flags give the JSON error line, not click's usage text."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as err:
+            _emit_error(self.name, err)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="tad")
 def main() -> None:
@@ -1022,7 +1032,7 @@ def main() -> None:
 
 for _task in TASKS:
     main.add_command(
-        click.Command(
+        _TaskCommand(
             _task,
             callback=partial(_execute, _task),
             params=[

@@ -186,56 +186,59 @@ class _WindowStore:
 
 
 class _SaliencyKernel:
-    """Spectral-residual saliency of equal-length windows, one row per window.
+    """Spectral-residual saliency of equal-length windows: one as a 1-D array,
+    or a block of them as the rows of a 2-D one.
 
     Each window is extended by extrapolated pad points.  Its spectral
     residual is the log-amplitude spectrum minus its moving average
     (edge-normalized, so a flat log spectrum has residual exactly zero);
     inverting with the original phase turns residual energy back into the
-    saliency of each original point.  All rows share one FFT, one inverse
-    FFT and one pass of each elementwise step, yet each row comes out bit for
-    bit as if scored alone, so ``update`` (one row), ``run_streaming``
-    (blocks of rows) and ``run_batch`` (the series as one row) agree.
+    saliency of each original point.  Every step indexes the last axis only:
+    a block shares one FFT, one inverse FFT and one pass of each elementwise
+    step, yet each row comes out bit for bit as if scored alone, so ``update``
+    (one window), ``run_streaming`` (blocks) and ``run_batch`` agree.
     """
 
     def __init__(self, n: int, ma_width: int, pad_points: int, rows: int = 1):
         _check_ma_width(n, ma_width, pad_points)
         self.n = n
         self._m = m = _pad_count(n, pad_points)
-        self._steps = np.arange(1, m + 1)
+        self._steps = np.arange(1.0, m + 1)
         self._ma_kernel = np.ones(ma_width)
         self._ma_denominator = np.convolve(np.ones(n + m), self._ma_kernel, mode="same")
-        self._ext = np.empty((rows, n + m), dtype=np.float64)
+        # flat, so that a 1-D window and a block of rows view it alike
+        self._ext = np.empty(rows * (n + m), dtype=np.float64)
 
     def __call__(self, windows: np.ndarray) -> np.ndarray:
-        """Saliency of each row of ``windows`` (at most ``rows`` rows of ``n``)."""
+        """Saliency of ``windows``: ``n`` points, or at most ``rows`` rows of ``n``."""
         n, m = self.n, self._m
-        ext = self._ext[: len(windows)]
-        ext[:, :n] = windows
+        ext = self._ext[: windows.size // n * (n + m)].reshape(*windows.shape[:-1], n + m)
+        ext[..., :n] = windows
         if m > 0:
             # The pad estimate must not see the newest point, or a spike there
             # would drag the pads to its own level and hide itself.
-            grads = (ext[:, n - 2 : n - 1] - ext[:, n - 2 - m : n - 2][:, ::-1]) / self._steps
-            ext[:, n:] = (ext[:, n - 1 - m] + np.add.reduce(grads, axis=1) / m * m)[:, None]
-        spectrum = np.fft.fft(ext, axis=-1)
-        log_amp = np.abs(spectrum)
+            grads = (ext[..., n - 2 : n - 1] - ext[..., n - 2 - m : n - 2][..., ::-1]) / self._steps
+            # .T[i] is ext[..., i] for one window or a block, but for one window
+            # a scalar, whose arithmetic skips the array machinery (so sal.T[-1])
+            ext[..., n:] = (ext.T[n - 1 - m] + np.add.reduce(grads, axis=-1) / m * m)[..., None]
+        z = np.fft.fft(ext, axis=-1)
+        log_amp = np.abs(z)
         np.log(np.maximum(log_amp, _LOG_EPS, out=log_amp), out=log_amp)
-        ma = np.empty_like(log_amp)
-        for row, out in zip(log_amp, ma):
-            out[:] = np.convolve(row, self._ma_kernel, mode="same")
-        ma /= self._ma_denominator
-        residual = np.subtract(log_amp, ma, out=ma)
-        z = 1j * np.arctan2(spectrum.imag, spectrum.real)
-        z += residual
-        sal = np.abs(np.fft.ifft(np.exp(z, out=z), axis=-1))
-        return sal[:, :n]
+        # z becomes residual + i·phase.  The phase goes through ext, free now:
+        # into strided z.imag, arctan2 runs another loop, with other bits.
+        real = z.real
+        phase = np.arctan2(z.imag, real, out=ext)
+        for row, out in zip(log_amp.reshape(-1, n + m), real.reshape(-1, n + m)):
+            np.divide(np.convolve(row, self._ma_kernel, mode="same"), self._ma_denominator, out=out)
+        np.subtract(log_amp, real, out=real)
+        z.imag = phase
+        return np.abs(np.fft.ifft(np.exp(z, out=z), axis=-1), out=log_amp)[..., :n]
 
     def newest_scores(self, windows: np.ndarray) -> np.ndarray:
-        """Relative saliency of the newest (last) point of each row, floored at 0; NaN stays NaN."""
+        """Relative saliency of the newest (last) point of each window, floored at 0; NaN stays NaN."""
         sal = self(windows)
-        mean_sal = np.add.reduce(sal, axis=1) / self.n
-        score = (sal[:, -1] - mean_sal) / (mean_sal + _SAL_EPS)
-        return np.where(score <= 0.0, 0.0, score)
+        mean_sal = np.add.reduce(sal, axis=-1) / self.n
+        return np.maximum((sal.T[-1] - mean_sal) / (mean_sal + _SAL_EPS), 0.0)
 
 
 class _SpectralResidualDetector(StreamingDetector):
@@ -261,7 +264,7 @@ class _SpectralResidualDetector(StreamingDetector):
         self._n = n = n + 1
         if self.count < w:
             return MISSING
-        return float(self._kernel.newest_scores(self._buf[None, n - w : n])[0])
+        return float(self._kernel.newest_scores(self._buf[n - w : n]))
 
 
 class _EwmaResidualDetector(StreamingDetector):
@@ -524,7 +527,7 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
     if method == "spectral_residual":
         if n:
             kernel = _SaliencyKernel(n, config.sr_ma_width, _SR_PAD_POINTS)
-            sal = kernel(values[None, :])[0]
+            sal = kernel(values)
             mean_sal = float(sal.mean())
             scores = np.maximum(0.0, (sal - mean_sal) / (mean_sal + _SAL_EPS))
     elif method == "ewma_residual":

@@ -34,6 +34,7 @@ from tadkit.cli import (
     write_report,
     write_series_csv,
 )
+from tadkit import __version__
 from tadkit.core import (
     AlignmentError,
     CovariateSet,
@@ -1021,6 +1022,35 @@ def test_errors_are_machine_readable_json_on_stderr(runner, tmp_path):
     assert payload["error"] == "InputError"
     assert payload["task"] == "detect"
     assert "ghost.csv" in payload["message"]
+
+
+@pytest.mark.parametrize("task", sorted(TASK_PARAMS))
+def test_an_unknown_flag_gives_one_json_error_line(runner, task):
+    assert len(TASK_PARAMS) == 8
+    result = runner.invoke(main, [task, "--bogus", "1"])
+    assert result.exit_code == 2
+    (line,) = result.stderr.splitlines()
+    payload = json.loads(line)
+    assert set(payload) == {"error", "task", "module", "message"}
+    assert (payload["error"], payload["task"], payload["module"]) == ("NoSuchOption", task, "cli")
+    assert "--bogus" in payload["message"]
+    assert "Usage:" not in result.output
+
+
+def test_flag_usage_errors_give_one_json_error_line_but_help_and_version_do_not(runner):
+    result = runner.invoke(main, ["hil", "--protocol", "batch"])
+    assert result.exit_code == 2
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["message"] == "No such option '--protocol'."
+    result = runner.invoke(main, ["detect", "--out"])
+    assert result.exit_code == 2
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "BadOptionUsage"
+    result = runner.invoke(main, ["detect", "--help"])
+    assert result.exit_code == 0
+    assert result.output.startswith("Usage:") and "--window" in result.output
+    result = runner.invoke(main, ["--version"])
+    assert (result.exit_code, result.output) == (0, f"tad, version {__version__}\n")
 
 
 def test_module_attribution_in_error_payloads(runner, tmp_path):

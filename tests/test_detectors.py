@@ -129,8 +129,9 @@ def oracle_newest_score(window, ma_width, pad_points):
 
 @pytest.mark.parametrize("w", [2, 3, 8, 128])
 @pytest.mark.parametrize("pad_points", [0, 1, 5])
-@pytest.mark.parametrize("ma_width", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("ma_width", [1, 2, 3, 4, 7, 16, 17])
 def test_sr_row_kernel_equals_the_one_window_oracle(ma_width, pad_points, w):
+    # 16 and 17: the moving average's dot products take OpenBLAS's SIMD path
     rng = np.random.default_rng(1000 * w + 10 * pad_points + ma_width)
     rows = rng.standard_normal((11, w)) * rng.choice([1e-3, 1.0, 1e4], size=(11, 1))
     rows[3] = 2.5                                   # flat: residual exactly zero
@@ -151,6 +152,10 @@ def test_sr_row_kernel_equals_the_one_window_oracle(ma_width, pad_points, w):
         assert (got == expected[part]).all()
     expected_scores = [oracle_newest_score(row, ma_width, pad_points) for row in rows]
     assert kernel.newest_scores(rows).tobytes() == np.array(expected_scores).tobytes()
+    for row, want, want_score in zip(rows, expected, expected_scores):
+        # one window as a 1-D array, the way ``update`` scores it
+        assert kernel(row).tobytes() == want.tobytes()
+        assert kernel.newest_scores(row).tobytes() == np.float64(want_score).tobytes()
 
 
 def test_sr_moving_average_wider_than_the_extended_window_is_a_spec_error():

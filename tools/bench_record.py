@@ -10,10 +10,12 @@ and every seed, ``perfbench/run.py --trace 0`` runs in ``PAIRS``
 parent/change pairs, alternating which side runs first, each for the
 benchmark's ``run_seconds``.  Each run gets a fresh export of its
 commit under ``--scratch`` (``git archive``, so the repository and its
-``.git`` are never touched), removed when the run ends.  One traced run per
-side and workload, at the first seed, gives the layers and the job's span
-self times.  ``perfbench/gates.py`` (the C2/C4 margins) and the Tier-1 suite
-then run once in an export of the change.
+``.git`` are never touched), removed when the run ends.  ``TRACED_RUNS``
+traced runs per side and workload, at the first seed and alternating which
+side runs first, give the layers and the job's span self times: every run,
+and each layer's and span's median over them.  ``perfbench/gates.py`` (the
+C2/C4 margins) and the Tier-1 suite then run once in an export of the
+change.
 
 The file holds, per workload, seed and side, the median, quartiles and
 every run of each end-to-end metric, the failed/attempted counts, and how
@@ -45,6 +47,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 PAIRS = 10  # alternating parent/change pairs per workload and seed
+# Traced runs per side and workload: one traced run's layers moved by up to
+# 45% on unchanged code, so each layer is the median of several.
+TRACED_RUNS = 3
 
 
 def parse_args(argv=None):
@@ -97,6 +102,21 @@ def perfbench(copy: Path, workload: str, seed: int, seconds: float, trace: int) 
 def summary(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
+
+
+def traced_medians(runs: list[dict], seed: int) -> dict:
+    """Each layer's and job span's median over ``runs``, beside every run."""
+    def medians(key: str) -> dict:
+        names = dict.fromkeys(name for run in runs for name in run[key])
+        return {name: statistics.median(run[key][name] for run in runs if name in run[key]) for name in names}
+
+    return {
+        "seed": seed,
+        "layers": medians("layers"),
+        "job_spans_self_ms": medians("job_spans_self_ms"),
+        "failed": [run["failed"] for run in runs],
+        "runs": runs,
+    }
 
 
 def compare(pairs: list[dict], end_to_end: list[dict]) -> dict:
@@ -193,16 +213,19 @@ def main(argv=None) -> int:
                 pairs.append(pair)
                 entry[f"seed{seed}"] = compare(pairs, spec["end_to_end"])
                 save()
-        entry["traced"] = {}
-        for side in ("parent", "change"):
-            result = run(side, workload, args.seeds[0], 1)
-            entry["traced"][side] = {
-                "seed": args.seeds[0],
-                "layers": result["metrics"],
-                "failed": result["failed"],
-                "job_spans_self_ms": result["job_spans_self_ms"],
-            }
-            save()
+        traced = {"parent": [], "change": []}
+        for i in range(TRACED_RUNS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run(side, workload, args.seeds[0], 1)
+                traced[side].append({
+                    "first": order[0],
+                    "layers": result["metrics"],
+                    "failed": result["failed"],
+                    "job_spans_self_ms": result["job_spans_self_ms"],
+                })
+                entry["traced"] = {s: traced_medians(runs, args.seeds[0]) for s, runs in traced.items() if runs}
+                save()
     record["gates"] = in_fresh_copy("change", "gates", gates)
     save()
     record["tier1"] = in_fresh_copy("change", "tier1", tier1)
