@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Mapping, get_args, get_type_hints
+from typing import Any, Callable, Mapping, NoReturn, get_args, get_type_hints
 
 import click
 import numpy as np
@@ -50,6 +50,7 @@ from .core import (
     SpecError,
     TadError,
     TimeSeries,
+    as_label_array,
 )
 from .datagen import InjectionConfig, PeriodicGeneratorConfig, generate_periodic, inject_point_anomalies
 from .detectors import DetectorConfig
@@ -84,12 +85,6 @@ TIMING_FIELDS = frozenset({"timings", "wall_s", "mean_runtime_s"})
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
-
-
-def _timestamps(series: TimeSeries | EventStream) -> np.ndarray:
-    if isinstance(series, TimeSeries):
-        return series.timestamps()
-    return series.timestamps
 
 
 def _parse_timestamp(text: str, where: str) -> int:
@@ -302,13 +297,11 @@ def write_series_csv(path, series: TimeSeries | EventStream, labels=None) -> Pat
     """Write a series as ``timestamp,value[,label]``; floats keep full precision."""
     path = Path(path)
     header = ["timestamp", "value"]
-    columns = [_timestamps(series).tolist(), series.values.tolist()]
+    stamps = series.timestamps() if isinstance(series, TimeSeries) else series.timestamps
+    columns = [stamps.tolist(), series.values.tolist()]
     if labels is not None:
-        lab = labels.labels if isinstance(labels, LabelSequence) else np.asarray(labels)
-        if len(lab) != len(series.values):
-            raise AlignmentError(f"{len(lab)} labels for {len(series.values)} points")
         header.append("label")
-        columns.append(list(map(int, lab.tolist())))
+        columns.append(as_label_array(labels, len(series.values)).tolist())
     _write_columns(path, header, columns)
     return path
 
@@ -537,7 +530,7 @@ def _load_label_file(path, series: TimeSeries) -> LabelSequence:
         path, lambda h: [c.lower() for c in h] == ["timestamp", "label"], "timestamp,label", need_data=False
     )
     stamps, bits = _load_columns(path, rows, [_TIMESTAMP, ("bit", "label")])
-    if len(bits) != len(series) or not np.array_equal(stamps, _timestamps(series)):
+    if len(bits) != len(series) or not np.array_equal(stamps, series.timestamps()):
         raise AlignmentError(
             f"{path}: label timestamps do not match the series grid "
             f"({len(bits)} labels for {len(series)} points)"
@@ -545,12 +538,14 @@ def _load_label_file(path, series: TimeSeries) -> LabelSequence:
     return LabelSequence(bits[:, 0])
 
 
-def _resolve_labels(p: Mapping[str, Any], series: TimeSeries, inline: LabelSequence | None) -> LabelSequence:
+def _labeled_input(p: Mapping[str, Any]) -> tuple[TimeSeries, LabelSequence]:
+    """The regular series of ``p["input"]`` and its labels: the ``p["labels"]`` file, else its own column."""
+    series, inline = _load_regular(p["input"])
     if p["labels"] is not None:
-        return _load_label_file(p["labels"], series)
+        return series, _load_label_file(p["labels"], series)
     if inline is None:
         raise InputError("labels required: add a label column or pass --labels FILE")
-    return inline
+    return series, inline
 
 
 def _task_datagen(config: ExperimentConfig, out_dir: Path) -> list[dict]:
@@ -591,7 +586,7 @@ def _task_resample(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     loaded = load_series_csv(p["input"])
     if isinstance(loaded, TimeSeries):
         keep = ~np.isnan(loaded.values)  # gaps are not events
-        events = EventStream(_timestamps(loaded)[keep], loaded.values[keep])
+        events = EventStream(loaded.timestamps()[keep], loaded.values[keep])
     else:
         events = loaded
     spec = _build(ResampleSpec, p)
@@ -623,9 +618,8 @@ def _task_detect(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     _write_columns(
         out_dir / "scores.csv",
         ["timestamp", "score", "decision"],
-        [_timestamps(series).tolist(), scores.scores.tolist(), decisions.tolist()],
+        [series.timestamps().tolist(), scores.scores.tolist(), decisions.tolist()],
     )
-    finite = scores.scores[scores.warmup :]
     return [
         {
             "record": "detect",
@@ -635,44 +629,40 @@ def _task_detect(config: ExperimentConfig, out_dir: Path) -> list[dict]:
             "n": len(series),
             "warmup": scores.warmup,
             "alert_count": int(decisions.sum()),
-            "max_score": float(finite.max()) if finite.size else None,
+            "max_score": float(scores.valid.max()) if scores.valid.size else None,
             "seed": config.seed,
         }
     ]
 
 
-def _eval_record(report, protocol: str, input_path: str) -> dict:
+def _eval_record(kind: str, report, input_path: str) -> dict:
     doc = asdict(report)
     doc["detection_delays"] = list(doc["detection_delays"])
-    doc.update({"record": "evaluate", "protocol": protocol, "input": Path(input_path).name})
+    doc.update({"record": kind, "input": Path(input_path).name})
     return doc
 
 
 def _task_evaluate(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     """Score a labeled series and report precision/recall/regret."""
     p = config.params
-    series, inline = _load_regular(p["input"])
-    labels = _resolve_labels(p, series, inline)
+    series, labels = _labeled_input(p)
     detector = _build(DetectorConfig, p)
     spec = _build(ThresholdSpec, p, seed=config.seed)
     loss = _build(LossSpec, p)
     evaluate = evaluate_streaming if p["protocol"] == "streaming" else evaluate_batch
     report = evaluate(detector, spec, series, labels, loss, p["max_delay"])
-    return [_eval_record(report, p["protocol"], p["input"])]
+    return [_eval_record("evaluate", report, p["input"])]
 
 
 def _task_hil(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     """Run the interactive loop: labels revealed only for flagged points."""
     p = config.params
-    series, inline = _load_regular(p["input"])
-    labels = _resolve_labels(p, series, inline)
+    series, labels = _labeled_input(p)
     policy = DetectorThresholdPolicy(
         _build(DetectorConfig, p), _build(ThresholdSpec, p, seed=config.seed)
     )
     report, log = run_hil(policy, series, labels, _build(LossSpec, p), p["max_delay"])
-    record = _eval_record(report, "hil", p["input"])
-    record["record"] = "hil"
-    records = [record]
+    records = [_eval_record("hil", report, p["input"])]
     records.extend(
         {"record": "feedback", "t": index, "label": label} for index, label in log.entries
     )
@@ -716,11 +706,10 @@ def _task_conditional(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     _write_columns(
         out_dir / "scores.csv",
         ["timestamp", *outputs],
-        [_timestamps(data.target).tolist(), *(seq.scores.tolist() for seq in outputs.values())],
+        [data.target.timestamps().tolist(), *(seq.scores.tolist() for seq in outputs.values())],
     )
     records = []
     for mode, seq in outputs.items():
-        finite = seq.scores[seq.warmup :]
         records.append(
             {
                 "record": "scores",
@@ -728,7 +717,7 @@ def _task_conditional(config: ExperimentConfig, out_dir: Path) -> list[dict]:
                 "file": "scores.csv",
                 "n": len(seq),
                 "warmup": seq.warmup,
-                "max_score": float(finite.max()) if finite.size else None,
+                "max_score": float(seq.valid.max()) if seq.valid.size else None,
                 "covariates": list(data.names),
             }
         )
@@ -756,10 +745,10 @@ def _task_cohort(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     matrix_ids, matrix = load_matrix_csv(p["matrix"])
     attr_ids, attributes = load_attributes_csv(p["attributes"])
     if matrix_ids != attr_ids:
-        raise SchemaError(
-            "matrix and attribute files disagree on series ids "
-            f"({len(matrix_ids)} vs {len(attr_ids)} rows)"
-        )
+        row = next((i for i, (a, b) in enumerate(zip(matrix_ids, attr_ids)) if a != b), None)
+        where = f"{len(matrix_ids)} vs {len(attr_ids)} rows" if row is None else (
+            f"data row {row + 1}: {matrix_ids[row]!r} vs {attr_ids[row]!r}")
+        raise SchemaError(f"matrix and attribute files disagree on series ids ({where})")
     miner = _build(CohortMinerConfig, p)
     if p["mode"] == "rules":
         anomalous = matrix.any(axis=1).astype(np.int8)  # flagged anywhere in the window
@@ -966,7 +955,7 @@ def _merge_params(task: str, config_path: str | None, overrides: Mapping[str, An
 # Click surface
 
 
-def _emit_error(task: str, err: Exception) -> None:
+def _emit_error(task: str, err: Exception) -> NoReturn:
     module = "cli"
     trace = err.__traceback__
     while trace is not None:
@@ -995,7 +984,6 @@ def _execute(task: str, config: str | None, **flags: str | None) -> None:
         jsonl, summary = write_report(report, experiment.out)
     except (TadError, OSError) as err:
         _emit_error(task, err)
-        return
     click.echo(f"{task}: {len(report.records)} records -> {jsonl} and {summary}")
     for record in report.records:
         if record.get("record") == "method":

@@ -96,6 +96,14 @@ def as_int64(value, what: str) -> int:
     return int(value)
 
 
+def as_label_array(labels: LabelSequence | np.ndarray, n: int) -> np.ndarray:
+    """``labels`` as an int8 array, refusing a length other than ``n``."""
+    arr = labels.labels if isinstance(labels, LabelSequence) else np.asarray(labels)
+    if len(arr) != n:
+        raise AlignmentError(f"labels length {len(arr)} != series length {n}")
+    return arr.astype(np.int8)
+
+
 def _readonly_float_array(values, *, allow_nan: bool, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:

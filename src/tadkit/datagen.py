@@ -97,11 +97,6 @@ class LabeledSeries:
             )
 
 
-def _max_period(n: int) -> int:
-    # largest integer strictly below n/10
-    return (n - 1) // 10 if n % 10 == 0 else n // 10
-
-
 def generate_periodic(config: PeriodicGeneratorConfig, index: int = 0) -> LabeledSeries:
     """Draw one periodic series; labels are all zero, true period recorded.
 
@@ -116,10 +111,8 @@ def generate_periodic(config: PeriodicGeneratorConfig, index: int = 0) -> Labele
     if config.fixed_length is not None:
         n = config.fixed_length
 
-    kmax = _max_period(n)
-    if kmax < 4:
-        raise SpecError(f"length {n} leaves no valid period (need one in (3, {n / 10:g}))")
-    period = int(rng.integers(4, kmax + 1))
+    # the largest integer strictly below n/10; at least 5, as n >= 60
+    period = int(rng.integers(4, (n - 1) // 10 + 1))
     if config.fixed_period is not None:
         period = int(config.fixed_period)
         if not 3 < period < n / 10:

@@ -32,6 +32,7 @@ from .core import (
     ScoreSequence,
     SpecError,
     TimeSeries,
+    as_label_array,
 )
 from .detectors import DetectorConfig, make_detector, run_batch, run_streaming
 from .thresholds import ThresholdSpec, Thresholder, apply_batch
@@ -148,17 +149,7 @@ class EvalReport:
                 raise SpecError(f"{name} must be in [0, 1], got {v}")
 
 
-def _label_array(labels: LabelSequence | np.ndarray, n: int) -> np.ndarray:
-    arr = labels.labels if isinstance(labels, LabelSequence) else np.asarray(labels)
-    if len(arr) != n:
-        raise AlignmentError(f"labels length {len(arr)} != series length {n}")
-    return arr.astype(np.int8)
-
-
-def _prf(pred: np.ndarray, lab: np.ndarray) -> tuple[float, float, float]:
-    tp = int(np.sum((pred == 1) & (lab == 1)))
-    fp = int(np.sum((pred == 1) & (lab == 0)))
-    fn = int(np.sum((pred == 0) & (lab == 1)))
+def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     if tp == 0 and fp == 0 and fn == 0:
         # no alerts and nothing to find: vacuously perfect
         return 1.0, 1.0, 1.0
@@ -166,12 +157,6 @@ def _prf(pred: np.ndarray, lab: np.ndarray) -> tuple[float, float, float]:
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * tp / (2 * tp + fp + fn) if tp else 0.0
     return precision, recall, f1
-
-
-def _regret(pred: np.ndarray, lab: np.ndarray, loss: LossSpec) -> float:
-    fn = np.sum((pred == 0) & (lab == 1))
-    fp = np.sum((pred == 1) & (lab == 0))
-    return float(loss.fn_cost * fn + loss.fp_cost * fp)
 
 
 def detection_delay(
@@ -217,12 +202,15 @@ def _build_report(
     warmup: int,
     max_delay: int,
 ) -> EvalReport:
-    scored = slice(warmup, None)
-    precision, recall, f1 = _prf(pred[scored], lab[scored])
+    scored_pred, scored_lab = pred[warmup:], lab[warmup:]
+    tp = int(np.sum((scored_pred == 1) & (scored_lab == 1)))
+    fp = int(np.sum((scored_pred == 1) & (scored_lab == 0)))
+    fn = int(np.sum((scored_pred == 0) & (scored_lab == 1)))
+    precision, recall, f1 = _prf(tp, fp, fn)
     summary = detection_delay(pred, lab, max_delay)
     return EvalReport(
         protocol=protocol,
-        regret=_regret(pred[scored], lab[scored], loss),
+        regret=float(loss.fn_cost * fn + loss.fp_cost * fp),
         precision=precision,
         recall=recall,
         f1=f1,
@@ -252,7 +240,7 @@ def score_and_decide(
 
 
 def _evaluate(protocol, detector_config, threshold, series, labels, loss, max_delay) -> EvalReport:
-    lab = _label_array(labels, len(series.values))
+    lab = as_label_array(labels, len(series.values))
     scores, pred = score_and_decide(protocol, detector_config, threshold, series)
     return _build_report(protocol, pred, lab, loss or LossSpec(), scores.warmup, max_delay)
 
@@ -351,7 +339,7 @@ def run_hil(
     """
     loss = loss or LossSpec()
     values = series.values
-    lab = _label_array(labels, len(values))
+    lab = as_label_array(labels, len(values))
     log = FeedbackLog()
     pred = np.zeros(len(values), dtype=np.int8)
     for t in range(len(values)):

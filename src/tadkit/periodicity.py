@@ -28,6 +28,7 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -405,10 +406,6 @@ def _bench_one(
     return drawn.true_period, out
 
 
-def _bench_worker(args: tuple) -> tuple[int, dict]:
-    return _bench_one(*args)
-
-
 def run_period_benchmark(
     n_series: int,
     config: PeriodicGeneratorConfig | None = None,
@@ -435,15 +432,15 @@ def run_period_benchmark(
     if len(set(methods)) != len(methods):
         raise SpecError(f"methods must not repeat, got {methods!r}")
     for m in methods:
-        if m != "random" and m not in _DETECTOR_FUNCS and m != "autoperiod":
+        if m not in DEFAULT_METHODS:
             raise SpecError(f"unknown period method {m!r}")
 
-    jobs = [(config, i, tuple(methods)) for i in range(n_series)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_bench_worker, jobs, chunksize=max(1, n_series // (8 * threads))))
+            rows = list(pool.map(_bench_one, repeat(config), range(n_series), repeat(methods),
+                                 chunksize=max(1, n_series // (8 * threads))))
     else:
-        rows = [_bench_one(*j) for j in jobs]
+        rows = [_bench_one(config, i, methods) for i in range(n_series)]
 
     true_periods = np.array([r[0] for r in rows], dtype=np.int64)
     results = []

@@ -1024,6 +1024,86 @@ def test_errors_are_machine_readable_json_on_stderr(runner, tmp_path):
     assert "ghost.csv" in payload["message"]
 
 
+def _refusal_args(tmp_path, case):
+    """The arguments of one refused ``tad`` run, writing the files it reads into ``tmp_path``."""
+    config = tmp_path / "cfg.json"
+    regular = _make_input(tmp_path)
+    irregular = _write(tmp_path / "events.csv", "timestamp,value\n0,1.0\n60,2.0\n200,3.0\n")
+    unlabeled = _write(tmp_path / "unlabeled.csv", "timestamp,value\n0,1.0\n60,2.0\n120,3.0\n")
+    matrix = _write(tmp_path / "matrix.csv", "series_id,t0,t1\ns0,0,1\ns1,1,0\n")
+    cohort = ["cohort", "--matrix", str(matrix), "--attributes"]
+    if case == "config_missing":
+        return ["detect", "--config", str(tmp_path / "ghost.json"), "--input", str(regular)]
+    if case == "config_not_an_object":
+        config.write_text("[1, 2]")
+        return ["detect", "--config", str(config), "--input", str(regular)]
+    if case == "config_for_another_task":
+        config.write_text(json.dumps({"task": "hil"}))
+        return ["detect", "--config", str(config), "--input", str(regular)]
+    if case == "required_key_missing":
+        return ["detect"]
+    if case in ("detect_irregular", "hil_irregular"):
+        return [case.split("_")[0], "--input", str(irregular)]
+    if case == "evaluate_unlabeled":
+        return ["evaluate", "--input", str(unlabeled)]
+    if case == "cohort_ids_differ":
+        return [*cohort, str(_write(tmp_path / "attr.csv", "series_id,device\ns0,a\ns2,b\n"))]
+    assert case == "cohort_row_counts_differ"
+    return [*cohort, str(_write(tmp_path / "attr.csv", "series_id,device\ns0,a\n"))]
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        ("config_missing", "InputError", "config file not found"),
+        ("config_not_an_object", "FormatError", "config must be a JSON object"),
+        ("config_for_another_task", "SpecError", "config is for task 'hil', not 'detect'"),
+        ("required_key_missing", "InputError", "detect needs --input"),
+        ("detect_irregular", "InputError", "needs a regular grid"),
+        ("hil_irregular", "InputError", "needs a regular grid"),
+        ("evaluate_unlabeled", "InputError", "labels required"),
+        ("cohort_ids_differ", "SchemaError", "disagree on series ids (data row 2: 's1' vs 's2')"),
+        ("cohort_row_counts_differ", "SchemaError", "disagree on series ids (2 vs 1 rows)"),
+    ],
+)
+def test_cli_refusals_give_one_json_error_line(runner, tmp_path, case, error, message):
+    args = _refusal_args(tmp_path, case)
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    (line,) = result.stderr.splitlines()
+    payload = json.loads(line)
+    assert set(payload) == {"error", "task", "module", "message"}
+    assert (payload["error"], payload["task"], payload["module"]) == (error, args[0], "cli")
+    assert message in payload["message"]
+    assert not (tmp_path / "out" / "report.jsonl").exists()
+
+
+def test_series_writer_refuses_a_wrong_label_count(tmp_path):
+    series = TimeSeries(0, 60, np.arange(4.0))
+    with pytest.raises(AlignmentError, match="labels length 3 != series length 4"):
+        write_series_csv(tmp_path / "a.csv", series, np.array([0, 1, 0]))
+
+
+def test_cohort_top_keeps_the_leading_rules(runner, tmp_path):
+    rows = [f"s{i},{i % 2},{int(i % 3 == 0)},{int(i < 5)},{int(i in (0, 2, 7))}" for i in range(10)]
+    matrix = _write(tmp_path / "matrix.csv", "series_id,t0,t1,t2,t3\n" + "\n".join(rows) + "\n")
+    attrs = _write(
+        tmp_path / "attr.csv",
+        "series_id,device,region\n" + "".join(f"s{i},{'ab'[i % 2]},{'xyz'[i % 3]}\n" for i in range(10)),
+    )
+    reports = {}
+    for name, top in (("all", []), ("top", ["--top", "2"])):
+        result = runner.invoke(
+            main,
+            ["cohort", "--matrix", str(matrix), "--attributes", str(attrs), "--mode", "rules",
+             "--out", str(tmp_path / name), *top],
+        )
+        assert result.exit_code == 0, result.output
+        reports[name] = [strip_timings(r) for r in _read_report(tmp_path / name)[1:]]
+    assert len(reports["all"]) > 2
+    assert reports["top"] == reports["all"][:2]
+
+
 @pytest.mark.parametrize("task", sorted(TASK_PARAMS))
 def test_an_unknown_flag_gives_one_json_error_line(runner, task):
     assert len(TASK_PARAMS) == 8

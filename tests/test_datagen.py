@@ -116,6 +116,20 @@ def test_injection_constant_kind():
     assert np.all(out.series.values[mask] == 99.0)
 
 
+def test_injection_uniform_kind_draws_inside_the_observed_range():
+    series = _sine(400, amplitude=3.0)
+    config = InjectionConfig(rate=0.1, seed=12, kind="uniform")
+    out = inject_point_anomalies(series, config)
+    replaced = out.series.values != series.values
+    assert replaced.any()
+    np.testing.assert_array_equal(out.labels.labels, replaced.astype(np.int8))
+    lo, hi = series.values.min(), series.values.max()
+    assert np.all((lo <= out.series.values[replaced]) & (out.series.values[replaced] <= hi))
+    again = inject_point_anomalies(series, config)
+    assert again.series.values.tobytes() == out.series.values.tobytes()
+    assert again.labels.labels.tobytes() == out.labels.labels.tobytes()
+
+
 def test_injection_offset_needs_spread():
     flat = TimeSeries(0, 60, np.full(50, 7.0))
     with pytest.raises(DegenerateScaleError):

@@ -43,6 +43,15 @@ def test_config_validation():
         DetectorConfig(n_clusters=0)
     with pytest.raises(SpecError):
         DetectorConfig(refit_cadence=0)
+    for bad in (0.0, -1e-9):
+        with pytest.raises(SpecError, match="scale_floor"):
+            DetectorConfig(scale_floor=bad)
+    with pytest.raises(SpecError, match="sr_ma_width"):
+        DetectorConfig(sr_ma_width=0)
+    with pytest.raises(SpecError, match="auto_resolve_at"):
+        DetectorConfig(auto_resolve_at=2)
+    with pytest.raises(SpecError, match="auto_fallback"):
+        DetectorConfig(auto_fallback=1)
 
 
 def test_update_rejects_non_finite():
@@ -68,6 +77,13 @@ def test_run_streaming_rejects_gaps():
     holed = TimeSeries(0, 60, np.array([1.0, np.nan, 2.0]))
     with pytest.raises(InputError):
         run_streaming(DetectorConfig(method="ewma_residual"), holed)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_batch_rejects_gaps(method):
+    holed = _series(np.r_[np.sin(np.arange(40) / 3.0), np.nan, np.zeros(10)])
+    with pytest.raises(InputError, match="resample first"):
+        run_batch(DetectorConfig(method=method, window=8, n_clusters=2), holed)
 
 
 # --- spectral residual -------------------------------------------------------

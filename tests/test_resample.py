@@ -81,6 +81,21 @@ def test_empty_bins_become_missing_by_default():
     assert np.isnan(out.values[1]) and np.isnan(out.values[2])
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(interval=0), "interval"),
+        (dict(interval=-60), "interval"),
+        (dict(interval=60, aggregation="median"), "aggregation"),
+        (dict(interval=60, empty_bin_policy="interpolate"), "policy"),
+        (dict(interval=60, empty_bin_policy="carry_forward", max_carry_bins=-1), "max_carry_bins"),
+    ],
+)
+def test_spec_refuses_bad_fields(kwargs, match):
+    with pytest.raises(SpecError, match=match):
+        ResampleSpec(**kwargs)
+
+
 def test_zero_policy_only_for_additive_aggregations():
     with pytest.raises(SpecError):
         ResampleSpec(interval=60, aggregation="mean", empty_bin_policy="zero")

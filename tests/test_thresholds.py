@@ -207,6 +207,12 @@ def test_apply_batch_accepts_score_sequences():
     assert out.tolist() == [0, 0, 1]
 
 
+@pytest.mark.parametrize("scores", [[], [np.nan], [np.nan, 5.0], [np.nan, np.nan, -3.0]])
+def test_apply_batch_k_sigma_flags_nothing_below_two_finite_scores(scores):
+    out = apply_batch(ThresholdSpec(kind="k_sigma", k=0.5), np.array(scores, dtype=float))
+    assert out.dtype == np.int8 and out.tolist() == [0] * len(scores)
+
+
 def brute_best_f1(scores, labels):
     """Try every achievable prediction set induced by a threshold."""
     finite = np.unique(scores[~np.isnan(scores)])

@@ -13,7 +13,7 @@ commit under ``--scratch`` (``git archive``, so the repository and its
 ``.git`` are never touched), removed when the run ends.  ``TRACED_RUNS``
 traced runs per side and workload, at the first seed and alternating which
 side runs first, give the layers and the job's span self times: every run,
-and each layer's and span's median over them.  ``perfbench/gates.py`` (the
+and each layer's and span's median, min and max over them.  ``perfbench/gates.py`` (the
 C2/C4 margins) and the Tier-1 suite then run once in an export of the
 change.
 
@@ -104,16 +104,23 @@ def summary(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
-def traced_medians(runs: list[dict], seed: int) -> dict:
-    """Each layer's and job span's median over ``runs``, beside every run."""
-    def medians(key: str) -> dict:
+def traced_spreads(runs: list[dict], seed: int) -> dict:
+    """Each layer's and job span's median, min and max over ``runs``, beside every run.
+
+    A layer whose min-max range over the parent's runs overlaps the change's
+    did not move by more than the runs' own spread.
+    """
+    def spreads(key: str) -> dict:
         names = dict.fromkeys(name for run in runs for name in run[key])
-        return {name: statistics.median(run[key][name] for run in runs if name in run[key]) for name in names}
+        values = {name: [run[key][name] for run in runs if name in run[key]] for name in names}
+        return {
+            name: {"median": statistics.median(v), "min": min(v), "max": max(v)} for name, v in values.items()
+        }
 
     return {
         "seed": seed,
-        "layers": medians("layers"),
-        "job_spans_self_ms": medians("job_spans_self_ms"),
+        "layers": spreads("layers"),
+        "job_spans_self_ms": spreads("job_spans_self_ms"),
         "failed": [run["failed"] for run in runs],
         "runs": runs,
     }
@@ -224,7 +231,7 @@ def main(argv=None) -> int:
                     "failed": result["failed"],
                     "job_spans_self_ms": result["job_spans_self_ms"],
                 })
-                entry["traced"] = {s: traced_medians(runs, args.seeds[0]) for s, runs in traced.items() if runs}
+                entry["traced"] = {s: traced_spreads(runs, args.seeds[0]) for s, runs in traced.items() if runs}
                 save()
     record["gates"] = in_fresh_copy("change", "gates", gates)
     save()
