@@ -23,11 +23,11 @@ import io
 import json
 import math
 import platform
+import re
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
-from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Mapping, NoReturn, get_args, get_type_hints
 
@@ -119,28 +119,10 @@ def _parse_float(text: str, where: str, column: str) -> float:
         raise FormatError(f"{where}: unparseable {column} {text!r}") from None
 
 
-def _read_rows(path) -> list[list[str]]:
-    """The rows of ``path`` that hold a non-blank cell, as ``csv.reader`` reads them.
-
-    The file is read whole as UTF-8.  Text with no ``"`` and no CR outside a
-    CRLF is split on line ends and commas, which is what ``csv.reader`` makes
-    of it; quoted or CR-only text goes through ``csv.reader``.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"input file not found: {path}")
-    try:
-        text = path.read_bytes().decode()
-    except UnicodeDecodeError as err:
-        raise FormatError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
-    if '"' in text or text.count("\r") != text.count("\r\n"):
-        rows = csv.reader(io.StringIO(text, newline=""))
-    else:
-        text = text.replace("\r\n", "\n")
-        rows = text.split("\n")
-        del text
-        for i, line in enumerate(rows):  # each line is freed as its cells replace it
-            rows[i] = line.split(",")
+def _read_rows(path, text: str | None = None) -> list[list[str]]:
+    """The rows of ``text`` (default: the file at ``path``, read whole as
+    UTF-8) that hold a non-blank cell, as ``csv.reader`` reads them."""
+    rows = csv.reader(io.StringIO(_read_text(path) if text is None else text, newline=""))
     try:
         # most rows show a non-blank cell first; csv.reader gives [] for an empty line
         return [row for row in rows if row and row[0].strip() or any(map(str.strip, row))]
@@ -148,28 +130,47 @@ def _read_rows(path) -> list[list[str]]:
         raise FormatError(f"{path}: {err}") from None
 
 
+def _read_text(path) -> str:
+    path = Path(path)
+    if not path.is_file():
+        raise InputError(f"input file not found: {path}")
+    try:
+        return path.read_bytes().decode()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+
+
 def _table(
     path: Path, accept: Callable[[list[str]], bool], expected: str, named: str | None = None, *,
     need_data: bool = True,
-) -> tuple[list[list[str]], list[str]]:
-    """The non-blank rows of ``path`` and its stripped header, after the checks
-    every loader shares.
+) -> tuple[str | list[list[str]], list[str]]:
+    """The data of ``path`` and its stripped header, after the checks every
+    loader shares.
 
-    ``accept`` judges the stripped header.  Error messages name ``expected``
-    as the header wanted; ``named``, when given, words it instead where a
-    wrong header is shown.  A header without data rows is an error unless
-    ``need_data`` is false.
+    The data is the text after the header line if the text holds no ``"``,
+    no CR outside a CRLF and none of ``\\x1c``-``\\x1f``, which numpy strips
+    around a number and ``int`` and ``float`` refuse; else, or with no data
+    rows, it is the data rows of :func:`_read_rows`.  ``accept`` judges the
+    stripped header.  Error messages name ``expected`` as the header wanted;
+    ``named``, when given, words it instead where a wrong header is shown.  A
+    header without data rows is an error unless ``need_data`` is false.
     """
-    rows = _read_rows(path)
-    if not rows:
+    text = _read_text(path)
+    if any(c in text for c in '"\x1c\x1d\x1e\x1f') or text.count("\r") != text.count("\r\n"):
+        head, *data = _read_rows(path, text) or [None]
+    else:
+        found = _ROW.search(text)
+        head = found and found.group().removesuffix("\r").split(",")
+        data = text[found.end() + 1 :] if found and _ROW.search(text, found.end()) else []
+    if head is None:
         raise FormatError(f"{path}: empty file; expected header {expected!r}")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in head]
     if not accept(header):
         wanted = named if named is not None else repr(expected)
-        raise FormatError(f"{path}: expected header {wanted}, got {','.join(rows[0])!r}")
-    if need_data and len(rows) == 1:
+        raise FormatError(f"{path}: expected header {wanted}, got {','.join(head)!r}")
+    if need_data and not data:
         raise FormatError(f"{path}: no data rows")
-    return rows, header
+    return data, header
 
 
 # A cell kind is ``(kind, name)``: "timestamp" parses to int64 epoch seconds,
@@ -179,64 +180,63 @@ _TIMESTAMP = ("timestamp", "timestamp")
 _ID = ("id", "series_id")
 _BITS = frozenset({"0", "1"})
 _DTYPES = {"timestamp": np.int64, "float": np.float64}
+# a line with a non-blank cell (``\s`` is ``str.isspace``); ``^`` keeps a search linear in its length
+_ROW = re.compile(r"^[^\n]*?[^\s,][^\n]*", re.MULTILINE)
 
 
-def _load_columns(path: Path, rows: list[list[str]], kinds: list[tuple[str, str]]) -> list:
-    """The data rows of ``rows`` (``rows[0]`` is the header), parsed by kind.
+def _load_columns(path: Path, data: str | list[list[str]], kinds: list[tuple[str, str]]) -> list:
+    """The data rows of a :func:`_table`, parsed by kind.
 
     Timestamp and float columns come back as arrays and id columns as lists,
     one per kind; the bit columns, if any, come last as one int8 block of
-    shape (rows, bit columns).  Whole columns parse first: ``np.array`` of a
-    column's strings converts each with ``int`` or ``float``, as the per-row
-    parse does, and each bit column's digits fill its stride of one byte
-    buffer.  When a row has the wrong width or a cell does not parse,
-    :func:`_parsed_rows` parses the rows again one at a time, so messages and
-    line numbers name the first bad row.  ISO timestamps also take that path.
+    shape (rows, bit columns).  Text data parses in one ``np.loadtxt`` call,
+    whose C reader converts a float cell as ``float`` does and an integer
+    cell as ``int`` does; id and bit cells stay strings, and bits must strip
+    to "0" or "1".  Row data, a ragged row or a cell that does not parse
+    there (an ISO timestamp, ``1_000``, a bad bit) take :func:`_parsed_rows`,
+    so messages and line numbers name the first bad row.
     """
-    data = rows[1:]
     first = next((j for j, (kind, _) in enumerate(kinds) if kind == "bit"), len(kinds))
     width = len(kinds) - first
-    try:
-        if set(map(len, rows)) != {len(kinds)}:
-            raise ValueError("ragged rows")
-        columns: list = []
-        digits = bytearray(len(data) * width)
-        for j, (kind, _) in enumerate(kinds):
-            if kind in _DTYPES:
-                columns.append(np.array([row[j] for row in data], dtype=_DTYPES[kind]))
-                continue
-            cells = [row[j].strip() for row in data]
-            if kind == "id":
-                columns.append(cells)
-            elif _BITS.issuperset(cells):
-                digits[j - first :: width] = "".join(cells).encode()
-            else:
-                raise ValueError("not a bit")
-        if width:
-            # one ASCII digit per cell: its byte minus b"0" is its bit
-            bits = np.frombuffer(digits, dtype=np.int8)
-            bits -= ord("0")
-            columns.append(bits.reshape(len(data), width))
-        return columns
-    except (ValueError, OverflowError):
-        # this parse raises unless the fast one met ISO timestamps, so there are rows to zip
-        parsed = [values for _, values in _parsed_rows(path, rows, kinds)]
-    columns = [
-        list(c) if kind == "id" else np.array(c, dtype=_DTYPES[kind])
-        for c, (kind, _) in zip(zip(*parsed), kinds[:first])
-    ]
+    if isinstance(data, str):
+        fields = [(str(j), _DTYPES.get(kind, object)) for j, (kind, _) in enumerate(kinds[:first])]
+        try:
+            table = np.loadtxt(
+                data.split("\n"), dtype=fields + [("bits", object, (width,))] * bool(width), delimiter=",",
+                comments=None, ndmin=1,
+            )
+            cells = list(table["bits"].flat) if width else []
+            if not _BITS.issuperset(cells):  # strip only when some cell needs it
+                cells = [cell.strip() for cell in cells]
+                if not _BITS.issuperset(cells):
+                    raise ValueError("not a bit")
+        except ValueError:  # the per-row parse below words the error
+            pass
+        else:
+            columns = [
+                [cell.strip() for cell in table[name].tolist()] if kind is object else table[name].copy()
+                for name, kind in fields
+            ]
+            if width:  # one ASCII digit per cell: its byte minus b"0" is its bit
+                digits = np.frombuffer("".join(cells).encode(), dtype=np.int8)
+                columns.append((digits - ord("0")).reshape(-1, width))
+            return columns
+    parsed = [values for _, values in _parsed_rows(path, data, kinds)]
+    columns = [[values[j] for values in parsed] for j in range(first)]
+    columns = [np.array(c, _DTYPES[kind]) if kind in _DTYPES else c for c, (kind, _) in zip(columns, kinds)]
     if width:
-        columns.append(np.array([values[first:] for values in parsed], dtype=np.int8))
+        columns.append(np.array([values[first:] for values in parsed], dtype=np.int8).reshape(-1, width))
     return columns
 
 
-def _parsed_rows(path: Path, rows: list[list[str]], kinds: list[tuple[str, str]]):
-    """Yield ``(where, values)`` per data row, parsed cell by cell.
+def _parsed_rows(path: Path, data: str | list[list[str]], kinds: list[tuple[str, str]]):
+    """Yield ``(where, values)`` per data row of a :func:`_table`, parsed cell by cell.
 
     The only place a loader words a width, timestamp, float or bit
     FormatError; ``where`` names the file and line.
     """
-    for line_no, row in enumerate(islice(rows, 1, None), start=2):
+    rows = _read_rows(path, data) if isinstance(data, str) else data
+    for line_no, row in enumerate(rows, start=2):
         where = f"{path} line {line_no}"
         if len(row) != len(kinds):
             raise FormatError(f"{where}: expected {len(kinds)} fields, got {len(row)}")
@@ -258,12 +258,12 @@ def _parsed_rows(path: Path, rows: list[list[str]], kinds: list[tuple[str, str]]
 def load_labeled_csv(path) -> tuple[TimeSeries | EventStream, LabelSequence | None]:
     """Like :func:`load_series_csv`, also returning the label column if present."""
     path = Path(path)
-    rows, header = _table(
+    data, header = _table(
         path, lambda h: [c.lower() for c in h] in (["timestamp", "value"], ["timestamp", "value", "label"]),
         "timestamp,value[,label]", "'timestamp,value' or 'timestamp,value,label'",
     )
     kinds = [_TIMESTAMP, ("float", "value"), ("bit", "label")][: len(header)]
-    timestamps, values, *labels = _load_columns(path, rows, kinds)
+    timestamps, values, *labels = _load_columns(path, data, kinds)
     return _classify(timestamps, values), LabelSequence(labels[0][:, 0]) if labels else None
 
 
@@ -312,20 +312,20 @@ def _write_columns(path, header: list[str], columns: list[list]) -> None:
     Columns hold Python ints and floats, as ``ndarray.tolist`` gives them.  A
     data cell is its ``repr``, which is what ``csv`` writes for these types:
     ints in decimal, floats at full precision, so ``nan``, ``inf`` and
-    ``-0.0`` round-trip through ``float``.
+    ``-0.0`` round-trip through ``float``.  Lines end in CRLF, as in ``csv``.
     """
-    line = ",".join(["{!r}"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)
-        handle.write("".join(map(line.format, *columns)))
+        # the empty last item ends the last row; no rows leave the header alone
+        handle.write("\r\n".join([*map(",".join, zip(*(map(repr, c) for c in columns))), ""]))
 
 
 def load_attributes_csv(path) -> tuple[list[str], list[dict[str, str]]]:
     """Read ``series_id,attr1,attr2,...`` rows into per-series attribute dicts."""
     path = Path(path)
-    rows, header = _table(path, lambda h: h[0] == "series_id" and len(h) >= 2, "series_id,<attr>,...")
+    data, header = _table(path, lambda h: h[0] == "series_id" and len(h) >= 2, "series_id,<attr>,...")
     attributes: dict[str, dict[str, str]] = {}
-    for where, (sid, *cells) in _parsed_rows(path, rows, [_ID] * len(header)):
+    for where, (sid, *cells) in _parsed_rows(path, data, [_ID] * len(header)):
         if sid in attributes:
             raise FormatError(f"{where}: duplicate series_id {sid!r}")
         attributes[sid] = dict(zip(header[1:], cells))
@@ -335,8 +335,8 @@ def load_attributes_csv(path) -> tuple[list[str], list[dict[str, str]]]:
 def load_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a 0/1 anomaly matrix: ``series_id,<t0>,<t1>,...`` rows."""
     path = Path(path)
-    rows, header = _table(path, lambda h: h[0] == "series_id" and len(h) >= 2, "series_id,<t0>,...")
-    ids, bits = _load_columns(path, rows, [_ID] + [("bit", "cells")] * (len(header) - 1))
+    data, header = _table(path, lambda h: h[0] == "series_id" and len(h) >= 2, "series_id,<t0>,...")
+    ids, bits = _load_columns(path, data, [_ID] + [("bit", "cells")] * (len(header) - 1))
     return ids, bits
 
 
@@ -347,7 +347,7 @@ def load_covariates_csv(path, target: str | None = None) -> CovariateSet:
     column); every other column becomes a covariate.
     """
     path = Path(path)
-    rows, header = _table(
+    data, header = _table(
         path, lambda h: h[0].lower() == "timestamp" and len(h) >= 2, "timestamp,<col>,..."
     )
     names = header[1:]
@@ -356,7 +356,7 @@ def load_covariates_csv(path, target: str | None = None) -> CovariateSet:
     target = target if target is not None else names[0]
     if target not in names:
         raise SchemaError(f"target column {target!r} not in {names}")
-    timestamps, *values = _load_columns(path, rows, [_TIMESTAMP] + [("float", name) for name in names])
+    timestamps, *values = _load_columns(path, data, [_TIMESTAMP] + [("float", name) for name in names])
     columns = dict(zip(names, values))
     shaped = _classify(timestamps, columns[target])
     if not isinstance(shaped, TimeSeries):
@@ -526,10 +526,10 @@ def _load_regular(path) -> tuple[TimeSeries, LabelSequence | None]:
 def _load_label_file(path, series: TimeSeries) -> LabelSequence:
     path = Path(path)
     # a header alone is zero labels, which the grid check below reports
-    rows, _ = _table(
+    data, _ = _table(
         path, lambda h: [c.lower() for c in h] == ["timestamp", "label"], "timestamp,label", need_data=False
     )
-    stamps, bits = _load_columns(path, rows, [_TIMESTAMP, ("bit", "label")])
+    stamps, bits = _load_columns(path, data, [_TIMESTAMP, ("bit", "label")])
     if len(bits) != len(series) or not np.array_equal(stamps, series.timestamps()):
         raise AlignmentError(
             f"{path}: label timestamps do not match the series grid "

@@ -437,6 +437,29 @@ _SERIES_BODIES = {
     "single_row": "5,1.0\n",
     "overflowing_timestamp": "0,1\n99999999999999999999,2\n",
     "overflow_then_bad_value": "99999999999999999999,1\n60,oops\n",
+    # traps of numpy's C reader: it strips \x1c-\x1f around numbers, which int and float refuse
+    "file_separator_before_value": "0,1\n60,\x1c2\n120,3\n",
+    "group_separator_after_value": "0,1\n60,2\x1d\n120,3\n",
+    "record_separator_around_value": "0,\x1e1\x1e\n60,2\n",
+    "unit_separator_after_timestamp": "0\x1f,1\n60,2\n",
+    "negative_nan": "0,-nan\n60,-NaN\n120,nan\n",
+    "float_overflow_and_underflow": "0,1e400\n60,-1e400\n120,1e-400\n",
+    "leading_zero_and_plus_stamps": "007,1\n+67,2\n127,3\n",
+    "int64_edge_stamps": "-9223372036854775808,1\n9223372036854775807,2\n",
+    "float_timestamp": "0,1\n60.0,2\n",
+    "exponent_timestamp": "0,1\n6e1,2\n",
+    "next_line_around_value": "0,\x851\x85\n60,2\n",
+    "line_separator_around_value": "0,\u20281\u2028\n60,2\n",
+    "nbsp_around_cells": "\xa00\xa0,\xa01\xa0\n60,2\n",
+    "hash_in_value": "0,2#3\n60,2\n",
+    "hash_after_value": "0,2 #\n60,2\n",
+    "nul_in_value": "0,1\x002\n60,2\n",
+    "nul_after_timestamp": "0\x00,1\n60,2\n",
+    "crlf": "0,1.5\r\n60,2.5\r\n120,3.5\r\n",
+    "crlf_blank_lines": "0,1\r\n\r\n , \r\n60,2\r\n",
+    "lone_cr": "0,1\r60,2\r\n",
+    "quoted_value": '0,"1.5"\n60,2\n',
+    "blank_body": "\n  \n , \n",
 }
 _LABEL_CELLS = {
     "plain": ["0", "1", "0"],
@@ -445,6 +468,12 @@ _LABEL_CELLS = {
     "leading_zero_label": ["01", "0", "1"],
     "signed_label": ["+1", "0", "0"],
     "empty_label": ["0", "", "1"],
+    "file_separator_before_label": ["\x1c1", "0", "1"],
+    "unit_separator_after_label": ["1\x1f", "0", "1"],
+    "nbsp_around_label": ["\xa01\xa0", "0", "0"],
+    "nul_after_label": ["1\x00", "0", "0"],
+    "hash_after_label": ["1#", "0", "0"],
+    "negative_zero_label": ["-0", "0", "1"],
 }
 
 
@@ -461,6 +490,10 @@ def _labeled_corpus():
     yield "header_only", "timestamp,value\n"
     yield "empty", ""
     yield "wrong_header", "time,val\n0,1\n"
+    yield "blank_lines_before_header", "\n \n , \ntimestamp,value\n0,1\n60,2\n"
+    yield "long_blank_lines", " " * 20000 + "\ntimestamp,value\n" + "\t," * 10000 + "\n0,1\n60,2\n"
+    yield "lone_cr_after_header", "timestamp,value\r0,1\n60,2\n"
+    yield "blank_crlf_lines_before_header", "\r\n , \r\ntimestamp,value,label\r\n0,1,0\r\n60,2,1\r\n"
 
 
 @pytest.mark.parametrize("name, text", list(_labeled_corpus()))
@@ -474,6 +507,40 @@ def test_labeled_loader_matches_the_per_row_oracle(tmp_path, name, text):
     if expected[1] is None:
         assert got[1] is None
     else:
+        assert got[1].labels.tobytes() == expected[1].labels.tobytes()
+
+
+# A drawn file is clean rows with one trap put into one cell: a character
+# that numpy's reader strips or reads past where ``int`` and ``float`` may not.
+_TRAPS = ["\x1c", "\x1d", "\x1e", "\x1f", " ", "\t", "\xa0", "\x85", "\u2028", "\x00", "#", "_", "+", "-", "0", "e",
+          ".", "\r", '"', ","]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    stamps=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=4, unique=True).map(sorted),
+    values=st.lists(st.floats(), min_size=4, max_size=4),
+    bits=st.lists(st.sampled_from("01"), min_size=4, max_size=4),
+    width=st.sampled_from([2, 3]),
+    trap=st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 30), st.sampled_from(_TRAPS)),
+    end=st.sampled_from(["\n", "\r\n"]),
+)
+def test_labeled_loader_matches_the_per_row_oracle_on_drawn_traps(stamps, values, bits, width, trap, end):
+    rows = [[str(t), repr(v), b][:width] for t, v, b in zip(stamps, values, bits)]
+    row, column, at, char = trap
+    cell = rows[row % len(rows)][column % width]
+    rows[row % len(rows)][column % width] = cell[: at % (len(cell) + 1)] + char + cell[at % (len(cell) + 1) :]
+    text = ",".join(["timestamp", "value", "label"][:width]) + end + "".join(",".join(r) + end for r in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.csv"
+        path.write_bytes(text.encode())
+        expected = _outcome(oracle_load_labeled_csv, path)
+        got = _outcome(load_labeled_csv, path)
+    if _assert_same_outcome(got, expected):
+        return
+    _same_series(got[0], expected[0])
+    assert (got[1] is None) == (expected[1] is None)
+    if expected[1] is not None:
         assert got[1].labels.tobytes() == expected[1].labels.tobytes()
 
 
@@ -493,6 +560,15 @@ def _covariate_corpus():
     yield "overflow", "timestamp,a,b\n0,1,2\n99999999999999999999,3,4\n"
     yield "overflow_then_bad_cell", "timestamp,a,b\n99999999999999999999,1,2\n60,3,x\n"
     yield "duplicate_columns", "timestamp,a,a\n0,1,2\n"
+    yield "file_separator_around_cell", "timestamp,a,b\n0,\x1c1,2\n60,3,4\x1f\n"
+    yield "negative_nan_and_overflow", "timestamp,a,b\n0,-nan,1e400\n60,-1e400,-NaN\n"
+    yield "unicode_spaces_around_cells", "timestamp,a,b\n0,\xa01,\x852\n60,\u20283,4\xa0\n"
+    yield "hash_in_cell", "timestamp,a,b\n0,1#2,2\n60,3,4\n"
+    yield "nul_in_cell", "timestamp,a,b\n0,1,2\n60,3,4\x00\n"
+    yield "leading_zero_and_plus_stamps", "timestamp,a,b\n000,1,2\n+60,3,4\n"
+    yield "blank_lines_before_header", "\n , \ntimestamp,a,b\n0,1,2\n60,3,4\n"
+    yield "blank_body", "timestamp,a,b\n\n , \n"
+    yield "crlf", "timestamp,a,b\r\n0,1,2\r\n60,3,4\r\n"
 
 
 @pytest.mark.parametrize("name, text", list(_covariate_corpus()))
@@ -520,6 +596,15 @@ def _matrix_corpus():
     yield "blank_lines", "series_id,t0,t1\n\ns0,0,1\n , \ns1,1,0\n"
     yield "header_only", "series_id,t0\n"
     yield "wrong_header", "id,t0\ns0,1\n"
+    yield "separator_chars_around_bits", "series_id,t0,t1\ns0,\x1c1,0\ns1,0,1\x1f\n"
+    yield "unicode_spaces_around_cells", "series_id,t0,t1\n\x85s0\x85,\xa01\xa0,\u20280\n"
+    yield "negative_zero_bit", "series_id,t0\ns0,-0\n"
+    yield "nul_after_bit", "series_id,t0\ns0,1\x00\n"
+    yield "hash_after_bit", "series_id,t0\ns0,1#\n"
+    yield "hash_in_id", "series_id,t0\ns#0,1\n"
+    yield "blank_lines_before_header", "\n , \nseries_id,t0\ns0,1\n"
+    yield "blank_body", "series_id,t0\n\n , \n"
+    yield "crlf", "series_id,t0,t1\r\ns0,0,1\r\ns1,1,0\r\n"
 
 
 @pytest.mark.parametrize("name, text", list(_matrix_corpus()))
@@ -546,6 +631,45 @@ def test_well_formed_files_parse_whole_columns(tmp_path, monkeypatch):
     assert load_covariates_csv(_write(tmp_path / "c.csv", "timestamp,a,b\n0,1,2\n60,3,4\n")).names == ("b",)
     label_file = _write(tmp_path / "l.csv", "timestamp,label\n0,1\n60,0\n")
     assert _load_label_file(label_file, series).labels.tolist() == [1, 0]
+
+    # one file of each shape the workloads read, written as their writers write it,
+    # parses in numpy's reader: neither the per-row parse nor csv.reader runs
+    monkeypatch.setattr("tadkit.cli.csv.reader", per_row)
+    stream = EventStream(np.array([0, 7, 9, 100, 3601]), np.array([1.5, -2.25, 0.1, -0.0, 5e-324]))
+    write_series_csv(tmp_path / "events.csv", stream)
+    _same_series(load_series_csv(tmp_path / "events.csv"), stream)
+    grid = TimeSeries(1767312000, 60, np.array([0.5, np.nan, 1e308, -0.0]))
+    write_series_csv(tmp_path / "labeled.csv", grid, np.array([0, 1, 1, 0]))
+    series, labels = load_labeled_csv(tmp_path / "labeled.csv")
+    _same_series(series, grid)
+    assert labels.labels.tolist() == [0, 1, 1, 0]
+    with open(tmp_path / "covariates.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["timestamp", "sales", "temp"])
+        writer.writerows([60 * i, 40.0 + i / 3, math.pi * i] for i in range(5))
+    loaded = load_covariates_csv(tmp_path / "covariates.csv", target="sales")
+    assert loaded.target.values.tolist() == [40.0 + i / 3 for i in range(5)]
+    assert loaded.covariates["temp"].values.tolist() == [math.pi * i for i in range(5)]
+    with open(tmp_path / "matrix.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["series_id", "0", "3600", "7200"])
+        writer.writerows([["s000", 0, 1, 0], ["s001", 1, 0, 0]])
+    ids, matrix = load_matrix_csv(tmp_path / "matrix.csv")
+    assert ids == ["s000", "s001"] and matrix.tolist() == [[0, 1, 0], [1, 0, 0]]
+    with open(tmp_path / "labels.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["timestamp", "label"])
+        writer.writerows([1767312000 + 60 * i, bit] for i, bit in enumerate([1, 0, 0, 1]))
+    assert _load_label_file(tmp_path / "labels.csv", grid).labels.tolist() == [1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "\r\n  \r\n", "\n , \n"])
+def test_a_label_file_without_rows_gives_no_numpy_warning(tmp_path, body):
+    path = _write(tmp_path / "labels.csv", "timestamp,label\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlignmentError, match="0 labels for 2 points"):
+            _load_label_file(path, TimeSeries(0, 60, np.array([1.0, 2.0])))
 
 
 def oracle_load_label_file(path, series):
@@ -601,6 +725,15 @@ def _label_file_corpus():
     yield "empty", "", 0
     yield "wrong_header", "time,label\n0,0\n", 0
     yield "value_header", "timestamp,value\n0,0\n", 0
+    yield "file_separator_before_label", "timestamp,label\n0,\x1c1\n60,0\n120,0\n", 0
+    yield "group_separator_after_timestamp", "timestamp,label\n0\x1d,1\n60,0\n120,0\n", 0
+    yield "nbsp_around_cells", "timestamp,label\n\xa00\xa0,\xa01\xa0\n60,0\n120,0\n", 0
+    yield "leading_zero_and_plus_stamps", "timestamp,label\n000,1\n+60,0\n120,0\n", 0
+    yield "hash_after_label", "timestamp,label\n0,1#\n60,0\n120,0\n", 0
+    yield "nul_after_label", "timestamp,label\n0,1\x00\n60,0\n120,0\n", 0
+    yield "blank_lines_before_header", "\n , \ntimestamp,label\n0,0\n60,1\n120,0\n", 0
+    yield "blank_body", "timestamp,label\n\n , \n\n", 0
+    yield "crlf", "timestamp,label\r\n0,0\r\n60,1\r\n120,0\r\n", 0
 
 
 @pytest.mark.parametrize("name, text, start", list(_label_file_corpus()))
@@ -654,6 +787,8 @@ def _attributes_corpus():
     yield "id_column_only", "series_id\ns0\n"
     yield "empty", ""
     yield "wrong_header", "id,device\ns0,a\n"
+    yield "separator_chars_around_cells", "series_id,device\n\x1cs0\x1c,\x1fa\ns1,b\n"
+    yield "blank_lines_before_header", "\n , \nseries_id,device\ns0,a\n"
 
 
 @pytest.mark.parametrize("name, text", list(_attributes_corpus()))
@@ -698,6 +833,10 @@ def test_column_writer_matches_the_row_writer(tmp_path, with_labels):
         columns.append(labels.tolist())
     _write_columns(tmp_path / "columns.csv", header, columns)
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    # zero rows: the header line alone
+    oracle_write_series(tmp_path / "rows0.csv", [], [], None if labels is None else labels[:0])
+    _write_columns(tmp_path / "columns0.csv", header, [column[:0] for column in columns])
+    assert (tmp_path / "columns0.csv").read_bytes() == (tmp_path / "rows0.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 from tadkit.core import DegenerateScaleError, InputError, SpecError, TimeSeries
 from tadkit.datagen import PeriodicGeneratorConfig, generate_periodic
 from tadkit.periodicity import (
+    DEFAULT_METHODS,
     MAX_CANDIDATE_LAG,
     MIN_CANDIDATE_LAG,
+    _bench_one,
     _local_maxima,
     _next_fast_len,
     autocorrelation,
@@ -196,3 +198,25 @@ def test_benchmark_thread_count_does_not_change_numbers():
 def test_benchmark_rejects_unknown_method():
     with pytest.raises(SpecError):
         run_period_benchmark(4, methods=("peaks", "nope"))
+
+
+@pytest.mark.parametrize("methods", [DEFAULT_METHODS, ("acf", "fft"), ("fft", "peaks", "acf"), ("peaks",)])
+def test_benchmark_answers_match_the_public_detectors_draw_by_draw(methods):
+    config = PeriodicGeneratorConfig(seed=7, length_range=(60, 2000))
+    public = {
+        "peaks": detect_period_peaks,
+        "acf": detect_period_acf,
+        "fft": detect_period_fft,
+    }
+    for index in range(12):
+        true_period, answers = _bench_one(config, index, methods)
+        drawn = generate_periodic(config, index)
+        assert true_period == drawn.true_period
+        assert set(answers) == set(methods) - {"random"}
+        for method, (period, elapsed) in answers.items():
+            if method == "autoperiod":
+                expected = detect_period_autoperiod(drawn.series, seed=(config.seed, index, 1))
+            else:
+                expected = public[method](drawn.series)
+            assert period == expected.period, (index, method)
+            assert elapsed > 0.0
