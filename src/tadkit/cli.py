@@ -120,8 +120,9 @@ def _parse_float(text: str, where: str, column: str) -> float:
 
 
 def _read_rows(path, text: str | None = None) -> list[list[str]]:
-    """The rows of ``text`` (default: the file at ``path``, read whole as
-    UTF-8) that hold a non-blank cell, as ``csv.reader`` reads them."""
+    """The rows of ``text`` (default: the file at ``path``) with a non-blank
+    cell, as ``csv.reader`` reads them: the route for text with a ``"``, a
+    lone CR or one of ``\\x1c``-``\\x1f``, and for rows numpy's reader refuses."""
     rows = csv.reader(io.StringIO(_read_text(path) if text is None else text, newline=""))
     try:
         # most rows show a non-blank cell first; csv.reader gives [] for an empty line
@@ -144,16 +145,15 @@ def _table(
     path: Path, accept: Callable[[list[str]], bool], expected: str, named: str | None = None, *,
     need_data: bool = True,
 ) -> tuple[str | list[list[str]], list[str]]:
-    """The data of ``path`` and its stripped header, after the checks every
-    loader shares.
+    """The data of ``path`` and its stripped header, after the checks every loader shares.
 
-    The data is the text after the header line if the text holds no ``"``,
-    no CR outside a CRLF and none of ``\\x1c``-``\\x1f``, which numpy strips
-    around a number and ``int`` and ``float`` refuse; else, or with no data
-    rows, it is the data rows of :func:`_read_rows`.  ``accept`` judges the
-    stripped header.  Error messages name ``expected`` as the header wanted;
-    ``named``, when given, words it instead where a wrong header is shown.  A
-    header without data rows is an error unless ``need_data`` is false.
+    The data is the text after the header line, for numpy's reader, unless
+    the text holds a ``"``, a lone CR or one of ``\\x1c``-``\\x1f`` (numpy
+    strips those around a number; ``int`` and ``float`` refuse them) or has
+    no data rows: then it is the data rows of :func:`_read_rows`.  ``accept``
+    judges the stripped header, and errors name ``expected`` as the header
+    wanted (``named``, if given, for a wrong one); no data rows is an error
+    unless ``need_data`` is false.
     """
     text = _read_text(path)
     if any(c in text for c in '"\x1c\x1d\x1e\x1f') or text.count("\r") != text.count("\r\n"):
@@ -189,12 +189,12 @@ def _load_columns(path: Path, data: str | list[list[str]], kinds: list[tuple[str
 
     Timestamp and float columns come back as arrays and id columns as lists,
     one per kind; the bit columns, if any, come last as one int8 block of
-    shape (rows, bit columns).  Text data parses in one ``np.loadtxt`` call,
-    whose C reader converts a float cell as ``float`` does and an integer
-    cell as ``int`` does; id and bit cells stay strings, and bits must strip
-    to "0" or "1".  Row data, a ragged row or a cell that does not parse
-    there (an ISO timestamp, ``1_000``, a bad bit) take :func:`_parsed_rows`,
-    so messages and line numbers name the first bad row.
+    shape (rows, bit columns).  Text data (free of ``\\x1c``-``\\x1f``, which
+    numpy would strip) parses in one ``np.loadtxt`` call, whose C reader
+    converts cells as ``float`` and ``int`` do; id and bit cells stay strings,
+    and bits must strip to "0" or "1".  Row data, a ragged row or a cell that
+    does not parse there (an ISO timestamp, ``1_000``, a bad bit) take
+    :func:`_parsed_rows`, so messages and line numbers name the first bad row.
     """
     first = next((j for j, (kind, _) in enumerate(kinds) if kind == "bit"), len(kinds))
     width = len(kinds) - first
