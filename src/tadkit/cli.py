@@ -156,7 +156,7 @@ def _table(
     unless ``need_data`` is false.
     """
     text = _read_text(path)
-    if any(c in text for c in '"\x1c\x1d\x1e\x1f') or text.count("\r") != text.count("\r\n"):
+    if any(c in text for c in '"\x1c\x1d\x1e\x1f') or _LONE_CR.search(text):
         head, *data = _read_rows(path, text) or [None]
     else:
         found = _ROW.search(text)
@@ -182,6 +182,7 @@ _BITS = frozenset({"0", "1"})
 _DTYPES = {"timestamp": np.int64, "float": np.float64}
 # a line with a non-blank cell (``\s`` is ``str.isspace``); ``^`` keeps a search linear in its length
 _ROW = re.compile(r"^[^\n]*?[^\s,][^\n]*", re.MULTILINE)
+_LONE_CR = re.compile(r"\r(?!\n)")
 
 
 def _load_columns(path: Path, data: str | list[list[str]], kinds: list[tuple[str, str]]) -> list:

@@ -23,6 +23,7 @@ side), and includes a shuffled-answers baseline for calibration.
 
 from __future__ import annotations
 
+import os
 import time
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
@@ -430,7 +431,8 @@ def run_period_benchmark(
     """Accuracy / runtime table over ``n_series`` generator draws.
 
     Per-series work is keyed by series index, so the thread count changes
-    wall-clock time but never the numbers.  The ``random`` baseline answers
+    wall-clock time but never the numbers.  It starts at most one worker
+    process per series and per CPU.  The ``random`` baseline answers
     by permuting the true periods across series; its accuracy is averaged
     over ``random_permutations`` shuffles and its runtime reported as 0.
     """
@@ -449,10 +451,11 @@ def run_period_benchmark(
         if m not in DEFAULT_METHODS:
             raise SpecError(f"unknown period method {m!r}")
 
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, n_series, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, repeat(config), range(n_series), repeat(methods),
-                                 chunksize=max(1, n_series // (8 * threads))))
+                                 chunksize=max(1, n_series // (8 * workers))))
     else:
         rows = [_bench_one(config, i, methods) for i in range(n_series)]
 

@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from tadkit import cli
 from tadkit.cli import (
     TASK_PARAMS,
     ExperimentConfig,
@@ -508,6 +509,27 @@ def test_labeled_loader_matches_the_per_row_oracle(tmp_path, name, text):
         assert got[1] is None
     else:
         assert got[1].labels.tobytes() == expected[1].labels.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, by_rows",
+    [
+        ("timestamp,value\n0,1\n60,2\r", True),  # a lone CR as the last character
+        ("timestamp,value\n0\r,1\n60,2\n", True),  # a lone CR before a comma
+        ("timestamp,value\r\n0,1\r\n60,2\r\n", False),
+        ("timestamp,value\r\n0,1\n60,2", False),
+    ],
+    ids=["cr_at_the_end", "cr_before_a_comma", "crlf", "crlf_then_lf"],
+)
+def test_a_lone_cr_and_only_a_lone_cr_takes_the_row_reader(tmp_path, monkeypatch, text, by_rows):
+    calls = []
+    read_rows = cli._read_rows
+    monkeypatch.setattr(cli, "_read_rows", lambda *args: calls.append(args) or read_rows(*args))
+    path = _write(tmp_path / "series.csv", text)
+    got = _outcome(load_labeled_csv, path)
+    assert bool(calls) == by_rows
+    if not _assert_same_outcome(got, _outcome(oracle_load_labeled_csv, path)):
+        _same_series(got[0], oracle_load_labeled_csv(path)[0])
 
 
 # A drawn file is clean rows with one trap put into one cell: a character

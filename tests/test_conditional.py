@@ -5,21 +5,25 @@ that re-solves the exponentially weighted ridge normal equations
 
     theta_k = argmin  sum_s lam^(k-s) (y_s - a_s.theta)^2 + lam^k * ridge * |theta|^2
 
-from scratch at every step.  The recursion and the solve are different
-arithmetic routes to the same estimate, so agreement is to tolerance, not
-bit-level.
+from scratch at every step.  The scorer accumulates the same sums
+recursively and the oracle re-weights them each step, so agreement is to
+tolerance, not bit-level.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from tadkit import conditional
 from tadkit.core import CovariateSet, InputError, SpecError, TimeSeries
 from tadkit.conditional import (
     ConditionalConfig,
     ConditionalScorer,
     JointConfig,
     JointScorer,
+    _solve,
     run_conditional,
     run_joint,
 )
@@ -247,6 +251,72 @@ def test_run_conditional_equals_an_update_loop(ar_order, n_covariates):
             )
             got = run_conditional(config, data).scores
             assert got.tobytes() == looped[:length].tobytes(), (covariate_lags, length)
+
+
+def _degenerate_corpus(n=600):
+    t = np.arange(n)
+    wave = np.sin(t / 3.0)  # exactly w_t = 2cos(1/3)·w_{t-1} - w_{t-2}, so its lags are collinear
+    walk = np.cumsum(np.random.default_rng(32).standard_normal(n))
+    yield "covariate_is_the_target", ConditionalConfig(), walk, [walk]
+    yield "ar2_covariate", ConditionalConfig(covariate_lags=2), walk, [wave]
+    yield "constant_target", ConditionalConfig(ar_order=3), np.full(n, 2.5), [wave]
+    yield "all_zero", ConditionalConfig(), np.zeros(n), [np.zeros(n)]
+    # the intercept and a constant 4 are exactly collinear once the ridge term has decayed
+    yield "constant_covariate", ConditionalConfig(forgetting=0.91), walk, [np.full(n, 4.0)]
+
+
+_DEGENERATE = pytest.mark.parametrize(
+    "config, target, covariates",
+    [case[1:] for case in _degenerate_corpus()],
+    ids=[case[0] for case in _degenerate_corpus()],
+)
+
+
+@_DEGENERATE
+@pytest.mark.parametrize("forgetting", [None, 0.95, 1.0])
+def test_update_loop_equals_run_conditional_on_degenerate_inputs(config, target, covariates, forgetting):
+    if forgetting is not None:
+        config = replace(config, forgetting=forgetting)
+    scorer = ConditionalScorer(config, n_covariates=len(covariates))
+    with np.errstate(all="ignore"):
+        looped = np.array([scorer.update(x, row) for x, row in zip(target, np.column_stack(covariates))])
+        got = run_conditional(config, _dataset(target, **{f"c{i}": c for i, c in enumerate(covariates)}))
+    assert got.scores.tobytes() == looped.tobytes()
+    assert np.isfinite(got.scores[got.warmup :]).all()
+
+
+@_DEGENERATE
+def test_block_size_does_not_change_a_bit(monkeypatch, config, target, covariates):
+    data = _dataset(target, **{f"c{i}": c for i, c in enumerate(covariates)})
+    runs = []
+    for block in (1, 7, 256):
+        monkeypatch.setattr(conditional, "_BLOCK", block)
+        with np.errstate(all="ignore"):
+            runs.append(run_conditional(config, data).scores.tobytes())
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_a_constant_covariate_does_not_wind_up():
+    # recursive least squares divides its inverse by the forgetting factor each
+    # step, so along the intercept-covariate direction it grows by 1/0.91 a
+    # step until it overflows; the normal equations stay bounded
+    n = 10_000
+    target = np.cumsum(np.random.default_rng(33).standard_normal(n))
+    config = ConditionalConfig(forgetting=0.91)
+    with np.errstate(all="ignore"):
+        scores = run_conditional(config, _dataset(target, c=np.full(n, 4.0)))
+    assert np.isfinite(scores.scores[scores.warmup :]).all()
+    assert scores.warmup == 2 + 4
+
+
+def test_a_singular_system_takes_the_least_squares_solution_and_none_raises():
+    A = np.array([np.eye(3), [[1.0, 2, 0], [2, 4, 0], [0, 0, 1]], [[np.inf, 0, 0], [0, 1, 1], [0, 1, 1]]])
+    b = np.array([[1.0, 2, 3]] * 3)
+    with np.errstate(all="ignore"):
+        theta = _solve(A, b)
+    assert theta[0].tolist() == [1.0, 2.0, 3.0]
+    assert theta[1].tobytes() == np.linalg.lstsq(A[1], b[1], rcond=None)[0].tobytes()
+    assert np.isnan(theta[2]).all()
 
 
 def test_joint_distances_look_chi_distributed_on_gaussian_steps():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tadkit import periodicity
 from tadkit.core import DegenerateScaleError, InputError, SpecError, TimeSeries
 from tadkit.datagen import PeriodicGeneratorConfig, generate_periodic
 from tadkit.periodicity import (
@@ -192,6 +193,40 @@ def test_benchmark_thread_count_does_not_change_numbers():
     parallel = run_period_benchmark(16, config=config, threads=2)
     assert [(r.method, r.accuracy, r.accuracy_within_1) for r in serial.results] == [
         (r.method, r.accuracy, r.accuracy_within_1) for r in parallel.results
+    ]
+
+
+@pytest.mark.parametrize(
+    "threads, n_series, cpus, workers",
+    [(10**9, 3, 8, 3), (10**9, 12, 2, 2), (4, 12, 8, 4), (8, 1, 8, None), (8, 12, None, None)],
+)
+def test_benchmark_starts_at_most_one_worker_per_series_and_cpu(
+    monkeypatch, threads, n_series, cpus, workers
+):
+    # a stand-in pool records its size and maps in this process, so no worker is started
+    made = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    config = PeriodicGeneratorConfig(seed=6)
+    serial = run_period_benchmark(n_series, config=config, methods=("fft", "random"))
+    monkeypatch.setattr(periodicity, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(periodicity.os, "cpu_count", lambda: cpus)
+    capped = run_period_benchmark(n_series, config=config, methods=("fft", "random"), threads=threads)
+    assert made == ([] if workers is None else [workers])
+    assert [(r.method, r.accuracy, r.accuracy_within_1) for r in capped.results] == [
+        (r.method, r.accuracy, r.accuracy_within_1) for r in serial.results
     ]
 
 

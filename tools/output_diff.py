@@ -43,8 +43,8 @@ WALL_CLOCK_COLUMN = "mean_runtime_s"
 CLI = "from tadkit.cli import main; main()"
 
 # Every task at least once, from the inputs that write_inputs() draws: both
-# protocols, inline and file labels, a weighted loss, both cohort modes and a
-# period table on one and on two worker processes.
+# protocols, inline and file labels, a weighted loss, both cohort modes, a
+# period table on one and on two worker processes, and each conditional mode.
 RUNS = {
     "datagen": ["datagen", "--n-series", "3", "--length", "400", "--inject-rate", "0.02", "--seed", "4"],
     "datagen-uniform": ["datagen", "--n-series", "2", "--length", "300", "--inject-rate", "0.03",
@@ -65,6 +65,9 @@ RUNS = {
     "bench-period-threads": ["bench-period", "--n-series", "24", "--methods", "peaks,acf,fft",
                              "--threads", "2", "--seed", "3"],
     "conditional": ["conditional", "--input", "inputs/covariates.csv"],
+    "conditional-joint": ["conditional", "--input", "inputs/covariates.csv", "--mode", "joint"],
+    "conditional-lagged": ["conditional", "--input", "inputs/covariates.csv", "--mode", "conditional",
+                           "--ar-order", "3", "--cov-lags", "2"],
     "cohort-rules": ["cohort", "--matrix", "inputs/matrix.csv", "--attributes", "inputs/attributes.csv"],
     "cohort-top": ["cohort", "--matrix", "inputs/matrix.csv", "--attributes", "inputs/attributes.csv",
                    "--top", "2"],
@@ -144,16 +147,26 @@ def compare(path: Path, other: Path) -> str | None:
     """None when the two files match, else what differs."""
     if path.suffix == ".jsonl":
         # dumped again, so that NaN equals NaN
-        ours, theirs = ([json.dumps(strip_timings(json.loads(line)), sort_keys=True) for line in p.read_text().splitlines()]
+        ours, theirs = ([strip_timings(json.loads(line)) for line in p.read_text().splitlines()]
                         for p in (path, other))
-        return None if ours == theirs else "records differ outside TIMING_FIELDS"
+        if len(ours) != len(theirs):
+            return "record counts differ"
+        keys = sorted({key for a, b in zip(ours, theirs) for key in a.keys() | b.keys()
+                       if json.dumps(a.get(key)) != json.dumps(b.get(key))})
+        return f"records differ outside TIMING_FIELDS, in {keys}" if keys else None
     ours, theirs = path.read_bytes(), other.read_bytes()
     if ours == theirs:
         return None
-    kept = without_wall_clock(ours) if path.suffix == ".csv" else None
+    if path.suffix != ".csv":
+        return "bytes differ"
+    kept = without_wall_clock(ours)
     if kept is not None and kept == without_wall_clock(theirs):
         return None
-    return "bytes differ"
+    ours, theirs = (list(csv.reader(io.StringIO(data.decode(), newline=""))) for data in (ours, theirs))
+    if len(ours) != len(theirs) or ours[:1] != theirs[:1]:
+        return "bytes differ"
+    columns = [name for j, name in enumerate(ours[0]) if any(a[j:j + 1] != b[j:j + 1] for a, b in zip(ours, theirs))]
+    return f"bytes differ, in columns {columns}"
 
 
 def main(argv=None) -> int:
