@@ -528,8 +528,9 @@ def test_a_lone_cr_and_only_a_lone_cr_takes_the_row_reader(tmp_path, monkeypatch
     path = _write(tmp_path / "series.csv", text)
     got = _outcome(load_labeled_csv, path)
     assert bool(calls) == by_rows
-    if not _assert_same_outcome(got, _outcome(oracle_load_labeled_csv, path)):
-        _same_series(got[0], oracle_load_labeled_csv(path)[0])
+    expected = _outcome(oracle_load_labeled_csv, path)
+    if not _assert_same_outcome(got, expected):
+        _same_series(got[0], expected[0])
 
 
 # A drawn file is clean rows with one trap put into one cell: a character

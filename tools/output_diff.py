@@ -13,7 +13,8 @@ attributes.  Each run in ``RUNS`` then goes through each commit's own
 the reports match.  Every report is compared record by record after the
 keys in ``TIMING_FIELDS`` are dropped, and every CSV byte for byte, except
 the wall-clock ``mean_runtime_s`` column of the period table: that file is
-compared cell by cell without the column.  The exit status is 0 when every
+compared cell by cell without the column.  A difference names the report
+keys or the CSV columns that differ.  The exit status is 0 when every
 output is identical and 1 otherwise.
 """
 
@@ -143,16 +144,20 @@ def without_wall_clock(data: bytes) -> list[list[str]] | None:
     return [row[:drop] + row[drop + 1 :] for row in rows]
 
 
+def dumped(record: dict, key: str) -> str:
+    """``record[key]`` dumped again, so that NaN equals NaN; an absent key differs from null."""
+    return json.dumps([key in record, record.get(key)], sort_keys=True)
+
+
 def compare(path: Path, other: Path) -> str | None:
     """None when the two files match, else what differs."""
     if path.suffix == ".jsonl":
-        # dumped again, so that NaN equals NaN
         ours, theirs = ([strip_timings(json.loads(line)) for line in p.read_text().splitlines()]
                         for p in (path, other))
         if len(ours) != len(theirs):
             return "record counts differ"
         keys = sorted({key for a, b in zip(ours, theirs) for key in a.keys() | b.keys()
-                       if json.dumps(a.get(key)) != json.dumps(b.get(key))})
+                       if dumped(a, key) != dumped(b, key)})
         return f"records differ outside TIMING_FIELDS, in {keys}" if keys else None
     ours, theirs = path.read_bytes(), other.read_bytes()
     if ours == theirs:
