@@ -29,7 +29,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping, NoReturn, get_args, get_type_hints
+from typing import Any, Callable, Mapping, NoReturn, get_args
 
 import click
 import numpy as np
@@ -39,6 +39,7 @@ from .cohort import CohortMinerConfig, mine_rules, mine_rules_over_time
 from .conditional import ConditionalConfig, JointConfig, run_conditional, run_joint
 from .core import (
     INT64,
+    INT64_MAX,
     AlignmentError,
     CovariateSet,
     EventStream,
@@ -46,11 +47,17 @@ from .core import (
     InputError,
     LabelSequence,
     OrderingError,
+    Range,
     SchemaError,
     SpecError,
     TadError,
     TimeSeries,
     as_label_array,
+    check_fields,
+    declared,
+    describe,
+    field_specs,
+    refusal,
 )
 from .datagen import InjectionConfig, PeriodicGeneratorConfig, generate_periodic, inject_point_anomalies
 from .detectors import DetectorConfig
@@ -150,7 +157,8 @@ def _table(
     The data is the text after the header line, for numpy's reader, unless
     the text holds a ``"``, a lone CR or one of ``\\x1c``-``\\x1f`` (numpy
     strips those around a number; ``int`` and ``float`` refuse them) or has
-    no data rows: then it is the data rows of :func:`_read_rows`.  ``accept``
+    no data rows: then it is the data rows of :func:`_read_rows`.  Either
+    way a cell longer than ``csv.field_size_limit()`` is an error.  ``accept``
     judges the stripped header, and errors name ``expected`` as the header
     wanted (``named``, if given, for a wrong one); no data rows is an error
     unless ``need_data`` is false.
@@ -159,6 +167,8 @@ def _table(
     if any(c in text for c in '"\x1c\x1d\x1e\x1f') or _LONE_CR.search(text):
         head, *data = _read_rows(path, text) or [None]
     else:
+        if _has_long_cell(text, limit := csv.field_size_limit()):
+            raise FormatError(f"{path}: field larger than field limit ({limit})")
         found = _ROW.search(text)
         head = found and found.group().removesuffix("\r").split(",")
         data = text[found.end() + 1 :] if found and _ROW.search(text, found.end()) else []
@@ -173,6 +183,17 @@ def _table(
     return data, header
 
 
+def _has_long_cell(text: str, limit: int) -> bool:
+    """Whether a cell of ``text`` (a run free of ``,``, CR and LF) is longer than ``limit``:
+    such a run covers a multiple of ``limit``, so only the runs there are measured."""
+    for at in range(limit, len(text), limit):
+        if text[at] not in ",\r\n":
+            before = max(text.rfind(sep, at - limit, at) for sep in ",\r\n")
+            if before < 0 or _CELL.match(text, at).end() - before - 1 > limit:
+                return True
+    return False
+
+
 # A cell kind is ``(kind, name)``: "timestamp" parses to int64 epoch seconds,
 # "float" to float64, "bit" to int8 0 or 1 and "id" to a stripped string;
 # ``name`` is how an error message calls the column.  Bit kinds come last.
@@ -183,6 +204,7 @@ _DTYPES = {"timestamp": np.int64, "float": np.float64}
 # a line with a non-blank cell (``\s`` is ``str.isspace``); ``^`` keeps a search linear in its length
 _ROW = re.compile(r"^[^\n]*?[^\s,][^\n]*", re.MULTILINE)
 _LONE_CR = re.compile(r"\r(?!\n)")
+_CELL = re.compile(r"[^,\r\n]*")
 
 
 def _load_columns(path: Path, data: str | list[list[str]], kinds: list[tuple[str, str]]) -> list:
@@ -371,30 +393,6 @@ def load_covariates_csv(path, target: str | None = None) -> CovariateSet:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One fully resolved run: a task plus its merged parameters."""
-
-    task: str
-    seed: int = 0
-    out: str = "."
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.task not in TASKS:
-            raise SpecError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise SpecError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise SpecError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "params", dict(self.params))
-
-    def echo(self) -> dict[str, Any]:
-        doc = {"task": self.task, "seed": self.seed, "out": self.out}
-        doc.update(self.params)
-        return doc
-
-
-@dataclass(frozen=True)
 class RunReport:
     config: Mapping[str, Any]
     environment: Mapping[str, Any]
@@ -552,8 +550,6 @@ def _labeled_input(p: Mapping[str, Any]) -> tuple[TimeSeries, LabelSequence]:
 def _task_datagen(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     """Write seeded synthetic periodic series as CSV files."""
     p = config.params
-    if p["n_series"] < 1:
-        raise SpecError(f"n_series must be >= 1, got {p['n_series']}")
     generator = _build(PeriodicGeneratorConfig, p, seed=config.seed)
     injection = _build(InjectionConfig, p)
     records = []
@@ -739,10 +735,6 @@ def _rule_record(kind: str, rank: int, rule) -> dict:
 def _task_cohort(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     """Mine attribute rules that explain which series are anomalous."""
     p = config.params
-    if p["top"] is not None and p["top"] < 1:
-        raise SpecError(f"top must be >= 1, got {p['top']}")
-    if p["min_support"] < 1:
-        raise SpecError(f"min_support must be >= 1, got {p['min_support']}")
     matrix_ids, matrix = load_matrix_csv(p["matrix"])
     attr_ids, attributes = load_attributes_csv(p["attributes"])
     if matrix_ids != attr_ids:
@@ -779,6 +771,25 @@ _TASK_FUNCS: dict[str, Callable[[ExperimentConfig, Path], list[dict]]] = {
 TASKS = tuple(_TASK_FUNCS)
 
 
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One fully resolved run: a task plus its merged parameters."""
+
+    task: str = declared(choices=TASKS)
+    seed: int = declared(0, Range(0))
+    out: str = "."
+    params: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        object.__setattr__(self, "params", dict(self.params))
+
+    def echo(self) -> dict[str, Any]:
+        doc = {"task": self.task, "seed": self.seed, "out": self.out}
+        doc.update(self.params)
+        return doc
+
+
 # ---------------------------------------------------------------------------
 # Config schema: every key a task accepts, with its type and default
 
@@ -792,6 +803,8 @@ class Param:
     default: Any  # ``MISSING``: the key must be given
     choices: tuple[str, ...] | None = None
     help: str = ""
+    range: Range | None = None
+    owner: type | None = None  # the config dataclass whose field checks the value; None: ``_coerce`` does
 
 
 #: Config key -> field, per dataclass a task builds from its parameters.
@@ -815,11 +828,11 @@ _BINDINGS: dict[type, dict[str, str]] = {
 
 
 def _bound(cls: type, **defaults: Any) -> tuple[Param, ...]:
-    """The keys bound to ``cls``, typed and defaulted by its fields."""
-    hints = get_type_hints(cls)
-    declared = {f.name: f.default for f in fields(cls)}
+    """The keys bound to ``cls``, typed, defaulted and declared by its fields."""
+    specs, given = field_specs(cls), {f.name: f.default for f in fields(cls)}
     return tuple(
-        Param(key, hints[name], defaults.get(key, declared[name]), help=f"{cls.__name__}.{name}")
+        Param(key, specs[name][0], defaults.get(key, given[name]), specs[name][2], f"{cls.__name__}.{name}",
+              specs[name][1], cls)
         for key, name in _BINDINGS[cls].items()
     )
 
@@ -843,7 +856,7 @@ _LABELED = (
     *_DETECT,
     Param("labels", str | None, None, help="Separate timestamp,label CSV."),
     *_bound(LossSpec),
-    Param("max_delay", int, 0, help="Alerts this many points late still count."),
+    Param("max_delay", int, 0, help="Alerts this many points late still count.", range=Range(0, INT64_MAX)),
 )
 
 #: Per task, every config key (and so every flag) it accepts.
@@ -851,7 +864,7 @@ TASK_PARAMS: dict[str, dict[str, Param]] = {
     task: {param.key: param for param in (*_bound(ExperimentConfig), *params)}
     for task, params in {
         "datagen": (
-            Param("n_series", int, 10, help="Series to write."),
+            Param("n_series", int, 10, help="Series to write.", range=Range(1, INT64_MAX)),
             *_bound(PeriodicGeneratorConfig),
             *_bound(InjectionConfig),
         ),
@@ -863,10 +876,11 @@ TASK_PARAMS: dict[str, dict[str, Param]] = {
         "evaluate": _LABELED,
         "hil": tuple(param for param in _LABELED if param.key != "protocol"),
         "bench-period": (
-            Param("n_series", int, 1000, help="Generator draws to score."),
+            Param("n_series", int, 1000, help="Generator draws to score.", range=Range(1, INT64_MAX)),
             Param("methods", str, ",".join(DEFAULT_METHODS), help="Comma-separated period methods."),
-            Param("permutations", int, 100, help="Shuffles for the random baseline."),
-            Param("threads", int, 1, help="Worker processes."),
+            Param("permutations", int, 100, help="Shuffles for the random baseline.",
+                  range=Range(1, INT64_MAX)),
+            Param("threads", int, 1, help="Worker processes.", range=Range(1, INT64_MAX)),
         ),
         "conditional": (
             _input("Multi-column timestamp,<col>,... CSV."),
@@ -879,8 +893,9 @@ TASK_PARAMS: dict[str, dict[str, Param]] = {
             Param("attributes", str, MISSING, help="series_id,<attr>,... CSV."),
             Param("mode", str, "rules", ("rules", "timeline")),
             *_bound(CohortMinerConfig),
-            Param("min_support", int, 1, help="Anomalous series a timestep needs to be mined."),
-            Param("top", int | None, None, help="Keep only the best N rules."),
+            Param("min_support", int, 1, help="Anomalous series a timestep needs to be mined.",
+                  range=Range(1, INT64_MAX)),
+            Param("top", int | None, None, help="Keep only the best N rules.", range=Range(1, INT64_MAX)),
         ),
     }.items()
 }
@@ -896,7 +911,7 @@ def _flag(key: str) -> str:
 
 
 def _coerce(param: Param, value: Any, from_flag: bool) -> Any:
-    """``value`` as ``param.type``.
+    """``value`` as ``param.type``, in its range or choices unless a config field checks it.
 
     Flag text is parsed; a JSON value must already have the type, except that
     an integer is accepted where a float is declared.
@@ -913,10 +928,9 @@ def _coerce(param: Param, value: Any, from_flag: bool) -> Any:
             coerced = kind(value)
         except (ValueError, OverflowError):
             continue
-        if kind is float and not math.isfinite(coerced):
-            raise SpecError(f"{param.key} must be finite, got {value!r}")
-        if param.choices is not None and coerced not in param.choices:
-            raise SpecError(f"{param.key} must be one of {list(param.choices)}, got {value!r}")
+        problem = param.owner is None and refusal(param.key, coerced, param.type, param.range, param.choices)
+        if problem:
+            raise SpecError(problem)
         return coerced
     expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
     raise SpecError(f"{param.key} must be {expected}, got {value!r}")
@@ -961,7 +975,9 @@ def _emit_error(task: str, err: Exception) -> NoReturn:
     trace = err.__traceback__
     while trace is not None:
         name = trace.tb_frame.f_globals.get("__name__", "")
-        if name.startswith("tadkit.") and name != "tadkit.cli":
+        # a refused field names the module of its dataclass, not the checker's
+        checker = trace.tb_frame.f_code is check_fields.__code__
+        if name.startswith("tadkit.") and name != "tadkit.cli" and not checker:
             module = name.split(".", 1)[1]
         trace = trace.tb_next
     payload = {
@@ -995,12 +1011,11 @@ def _execute(task: str, config: str | None, **flags: str | None) -> None:
 
 
 def _option(param: Param) -> click.Option:
-    if param.choices:
-        metavar = "[" + "|".join(param.choices) + "]"
-    else:  # a flag cannot say null, so only the other kinds are listed
-        metavar = "|".join(kind.__name__ for kind in _kinds(param) if kind is not type(None)).upper()
+    # a flag cannot say null, so only the other kinds are listed
+    metavar = "|".join(kind.__name__ for kind in _kinds(param) if kind is not type(None)).upper()
     default = "required" if param.default is MISSING else f"default: {param.default}"
-    return click.Option([_flag(param.key)], metavar=metavar, help=f"{param.help} [{default}]")
+    allowed = "; ".join(filter(None, [describe(param.type, param.range, param.choices), default]))
+    return click.Option([_flag(param.key)], metavar=metavar, help=f"{param.help} [{allowed}]")
 
 
 class _TaskCommand(click.Command):

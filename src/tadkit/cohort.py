@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SchemaError, SpecError
+from .core import INT64_MAX, Range, SchemaError, SpecError, check_fields, declared
 
 __all__ = [
     "Rule",
@@ -38,17 +38,16 @@ class Rule:
     """Conjunction of (attribute = value) terms with its quality score."""
 
     terms: tuple[tuple[str, str], ...]
-    score: float
+    score: float = declared(numbers=Range(0, 1))
     coverage: int
 
     def __post_init__(self) -> None:
+        check_fields(self)
         attrs = [a for a, _ in self.terms]
         if len(set(attrs)) != len(attrs):
             raise SpecError("rule attributes must be distinct")
         if not self.terms:
             raise SpecError("a rule needs at least one term")
-        if not 0.0 <= self.score <= 1.0:
-            raise SpecError(f"score must be in [0, 1], got {self.score}")
         object.__setattr__(self, "terms", tuple(sorted(self.terms)))
 
     def matches(self, attributes: Mapping[str, str]) -> bool:
@@ -60,23 +59,13 @@ class Rule:
 
 @dataclass(frozen=True)
 class CohortMinerConfig:
-    max_depth: int = 2
-    min_score: float = 1e-6     # rules scoring below this are not returned
-    quality: str = "f1"
-    min_recall: float = 0.5     # only used by precision_at_min_recall
-    max_candidates: int = 1_000_000
+    max_depth: int = declared(2, Range(1, INT64_MAX))
+    min_score: float = declared(1e-6, Range(0, 1, open_lo=True))  # rules scoring below this are not returned
+    quality: str = declared("f1", choices=("f1", "precision_at_min_recall"))
+    min_recall: float = declared(0.5, Range(0, 1, open_lo=True))  # only used by precision_at_min_recall
+    max_candidates: int = declared(1_000_000, Range(1, INT64_MAX))
 
-    def __post_init__(self) -> None:
-        if self.max_depth < 1:
-            raise SpecError("max_depth must be >= 1")
-        if not 0.0 < self.min_score <= 1.0:
-            raise SpecError(f"min_score must be in (0, 1], got {self.min_score}")
-        if self.quality not in ("f1", "precision_at_min_recall"):
-            raise SpecError(f"unknown quality metric {self.quality!r}")
-        if not 0.0 < self.min_recall <= 1.0:
-            raise SpecError("min_recall must be in (0, 1]")
-        if self.max_candidates < 1:
-            raise SpecError("max_candidates must be >= 1")
+    __post_init__ = check_fields
 
 
 def _check_schema(attributes: Sequence[Mapping[str, str]]) -> tuple[str, ...]:

@@ -24,7 +24,9 @@ from math import isfinite
 
 import numpy as np
 
-from .core import CovariateSet, InputError, MISSING, ScoreSequence, SpecError
+from .core import (
+    INT64_MAX, MISSING, CovariateSet, InputError, Range, ScoreSequence, SpecError, check_fields, declared,
+)
 
 __all__ = [
     "ConditionalConfig",
@@ -40,23 +42,13 @@ _BLOCK = 256  # steps per block in the run drivers; bounds their transient array
 
 @dataclass(frozen=True)
 class ConditionalConfig:
-    ar_order: int = 2            # lags of the target
-    covariate_lags: int = 0      # lags of each covariate (contemporaneous is free)
-    forgetting: float = 0.999
-    ridge: float = 1e-3
-    scale_floor: float = 1e-9
+    ar_order: int = declared(2, Range(0, INT64_MAX))  # lags of the target
+    covariate_lags: int = declared(0, Range(0, INT64_MAX))  # lags of each covariate; contemporaneous is free
+    forgetting: float = declared(0.999, Range(0.9, 1, open_lo=True))
+    ridge: float = declared(1e-3, Range(0, open_lo=True))
+    scale_floor: float = declared(1e-9, Range(0, open_lo=True))
 
-    def __post_init__(self) -> None:
-        if self.ar_order < 0:
-            raise SpecError("ar_order must be >= 0")
-        if self.covariate_lags < 0:
-            raise SpecError("covariate_lags must be >= 0")
-        if not 0.9 < self.forgetting <= 1.0:
-            raise SpecError(f"forgetting must be in (0.9, 1], got {self.forgetting}")
-        if self.ridge <= 0.0:
-            raise SpecError("ridge must be > 0")
-        if self.scale_floor <= 0.0:
-            raise SpecError("scale_floor must be > 0")
+    __post_init__ = check_fields
 
 
 class ConditionalScorer:
@@ -196,18 +188,12 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JointConfig:
-    forgetting: float = 0.999
-    ridge: float = 1e-3
+    forgetting: float = declared(0.999, Range(0.9, 1, open_lo=True))
+    ridge: float = declared(1e-3, Range(0, open_lo=True))
     differencing: bool = True    # score first differences (kills random walks)
-    min_history: int | None = None  # vectors absorbed before scoring; None -> dim+1
+    min_history: int | None = declared(None, Range(1, INT64_MAX))  # vectors before scoring; None -> dim+1
 
-    def __post_init__(self) -> None:
-        if not 0.9 < self.forgetting <= 1.0:
-            raise SpecError(f"forgetting must be in (0.9, 1], got {self.forgetting}")
-        if self.ridge <= 0.0:
-            raise SpecError("ridge must be > 0")
-        if self.min_history is not None and self.min_history < 1:
-            raise SpecError("min_history must be >= 1")
+    __post_init__ = check_fields
 
 
 class JointScorer:

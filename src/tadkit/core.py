@@ -14,8 +14,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import MISSING as _REQUIRED, dataclass, field, fields
+from functools import cache
+from typing import Any, Iterable, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -44,8 +45,10 @@ __all__ = [
 #: Sentinel for a missing reading inside a regular series.
 MISSING = float("nan")
 
+#: The ends of int64: the widest a timestamp, a grid offset or a size may be.
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 #: Every value an epoch-second timestamp, an interval or a grid offset may take.
-INT64 = range(-(2**63), 2**63)
+INT64 = range(INT64_MIN, INT64_MAX + 1)
 
 
 class TadError(Exception):
@@ -89,11 +92,76 @@ def is_missing(x) -> np.ndarray | bool:
     return np.isnan(x)
 
 
-def as_int64(value, what: str) -> int:
-    """``value`` as a Python int, refusing bools, non-integers and values outside int64."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or int(value) not in INT64:
-        raise SpecError(f"{what} must be an integer inside the int64 range, got {value!r}")
-    return int(value)
+@dataclass(frozen=True)
+class Range:
+    """The numbers from ``lo`` to ``hi``: an end is included unless ``open_lo`` /
+    ``open_hi`` says otherwise, and ``None`` leaves that side unbounded."""
+
+    lo: float | None = None
+    hi: float | None = None
+    open_lo: bool = False
+    open_hi: bool = False
+
+    def __contains__(self, x) -> bool:
+        above = self.lo is None or (self.lo < x if self.open_lo else self.lo <= x)
+        return above and (self.hi is None or (x < self.hi if self.open_hi else x <= self.hi))
+
+    def __str__(self) -> str:
+        named = {INT64_MIN: "int64 min", INT64_MAX: "int64 max"}
+        lo, hi = (named.get(end, end) for end in (self.lo, self.hi))
+        if hi is None:
+            return "" if lo is None else f"{'>' if self.open_lo else '>='} {lo}"
+        return f"in {'(' if self.open_lo else '['}{lo}, {hi}{')' if self.open_hi else ']'}"
+
+
+def declared(default: Any = _REQUIRED, numbers: Range | None = None, choices: tuple | None = None):
+    """A dataclass field whose value must be a number in ``numbers`` or one of ``choices``."""
+    return field(default=default, metadata={"range": numbers, "choices": choices})
+
+
+@cache
+def field_specs(cls: type) -> dict[str, tuple[Any, Range | None, tuple | None]]:
+    """The type, range and choices of each field of the dataclass ``cls``, resolved once."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.metadata.get("range"), f.metadata.get("choices")) for f in fields(cls)}
+
+
+def describe(kind: Any, numbers: Range | None, choices: tuple | None) -> str:
+    """The values a key of type ``kind`` with this range and these choices takes, in words."""
+    number = "an integer" if int in (get_args(kind) or (kind,)) else "a finite number"
+    words = [] if numbers is None else [f"{number} {numbers}".rstrip()]
+    return " or ".join(words + ([f"one of {list(choices)}"] if choices else []))
+
+
+def refusal(name: str, value: Any, kind: Any, numbers: Range | None, choices: tuple | None) -> str | None:
+    """Why ``value`` is no value for the key ``name`` of type ``kind``, or None when it is one.
+
+    A string must be one of ``choices``; a number must lie in ``numbers`` and be
+    finite, not a bool, and an integer where ``kind`` admits no float.
+    """
+    kinds = get_args(kind) or (kind,)
+    if numbers is None and choices is None or value is None and type(None) in kinds:
+        return None
+    if isinstance(value, str):
+        ok = choices is not None and value in choices
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        ok = numbers is not None and (int in kinds or float in kinds) and value in numbers
+    elif isinstance(value, (float, np.floating)):
+        ok = numbers is not None and float in kinds and math.isfinite(value) and value in numbers
+    else:
+        ok = False
+    return None if ok else f"{name} must be {describe(kind, numbers, choices)}, got {value!r}"
+
+
+def check_fields(obj) -> None:
+    """Refuse the dataclass ``obj`` unless each field holds a value its declaration takes;
+    store each ``np.integer`` as the ``int`` it equals."""
+    for name, (kind, numbers, choices) in field_specs(type(obj)).items():
+        value = getattr(obj, name)
+        if (problem := refusal(name, value, kind, numbers, choices)) is not None:
+            raise SpecError(f"{type(obj).__name__}.{problem}")  # the name ``--help`` gives the field
+        if isinstance(value, np.integer):
+            object.__setattr__(obj, name, int(value))
 
 
 def as_label_array(labels: LabelSequence | np.ndarray, n: int) -> np.ndarray:
@@ -127,19 +195,15 @@ class TimeSeries:
     own minimum-length preconditions.
     """
 
-    start: int
-    interval: int
+    start: int = declared(numbers=Range(INT64_MIN, INT64_MAX))  # epoch seconds
+    interval: int = declared(numbers=Range(1, INT64_MAX))  # seconds
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        interval = as_int64(self.interval, "interval (seconds)")
-        start = as_int64(self.start, "start (epoch seconds)")
-        if interval <= 0:
-            raise SpecError(f"interval must be positive, got {interval}")
+        check_fields(self)
         arr = _readonly_float_array(self.values, allow_nan=True, what="series values")
-        as_int64(start + max(len(arr) - 1, 0) * interval, "the last timestamp")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "interval", interval)
+        if (last := self.start + max(len(arr) - 1, 0) * self.interval) not in INT64:
+            raise SpecError(f"the last timestamp must be inside the int64 range, got {last}")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -223,24 +287,21 @@ class ScoreSequence:
     """
 
     scores: np.ndarray
-    warmup: int = 0
+    warmup: int = declared(0, Range(0, INT64_MAX))
 
     def __post_init__(self) -> None:
+        check_fields(self)
         arr = np.asarray(self.scores, dtype=np.float64).copy()
         if arr.ndim != 1:
             raise InputError(f"scores must be one-dimensional, got shape {arr.shape}")
-        if not isinstance(self.warmup, (int, np.integer)) or isinstance(self.warmup, bool):
-            raise SpecError(f"warmup must be an integer, got {self.warmup!r}")
-        warmup = int(self.warmup)
-        if warmup < 0 or warmup > arr.shape[0]:
-            raise SpecError(f"warmup {warmup} out of range for {arr.shape[0]} scores")
-        if not np.isnan(arr[:warmup]).all():
+        if self.warmup > arr.shape[0]:
+            raise SpecError(f"warmup {self.warmup} out of range for {arr.shape[0]} scores")
+        if not np.isnan(arr[: self.warmup]).all():
             raise InputError("warmup entries must carry the NaN sentinel")
-        if not np.isfinite(arr[warmup:]).all():
+        if not np.isfinite(arr[self.warmup :]).all():
             raise InputError("scores past the warmup must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "scores", arr)
-        object.__setattr__(self, "warmup", warmup)
 
     def __len__(self) -> int:
         return int(self.scores.shape[0])

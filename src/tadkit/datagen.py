@@ -21,11 +21,16 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    INT64_MAX,
+    INT64_MIN,
     DegenerateScaleError,
     InputError,
     LabelSequence,
+    Range,
     SpecError,
     TimeSeries,
+    check_fields,
+    declared,
 )
 
 __all__ = [
@@ -62,24 +67,18 @@ class PeriodicGeneratorConfig:
     noise_strength_range: tuple[float, float] = (0.0, 10.0)
     period_strength_range: tuple[float, float] = (0.0, 10.0)
     seed: int = 0
-    start: int = 0
-    interval: int = 60
-    fixed_length: int | None = None
-    fixed_period: int | None = None
+    start: int = declared(0, Range(INT64_MIN, INT64_MAX))
+    interval: int = declared(60, Range(1, INT64_MAX))
+    fixed_length: int | None = declared(None, Range(60, INT64_MAX))  # at least 60, so a valid period exists
+    fixed_period: int | None = declared(None, Range(3, INT64_MAX, open_lo=True))
     include_walk: bool = True
 
     def __post_init__(self) -> None:
-        lo, hi = self.length_range
-        if lo < 60 or hi < lo:
-            raise SpecError(f"length_range must satisfy 60 <= lo <= hi, got {self.length_range}")
-        for name in ("noise_strength_range", "period_strength_range"):
-            a, b = getattr(self, name)
-            if a < 0 or b < a:
-                raise SpecError(f"{name} must satisfy 0 <= lo <= hi, got {(a, b)}")
-        if self.fixed_length is not None and self.fixed_length < 60:
-            raise SpecError("fixed_length must be >= 60 so a valid period exists")
-        if self.interval <= 0:
-            raise SpecError(f"interval must be positive, got {self.interval}")
+        check_fields(self)
+        for name, floor in (("length_range", 60), ("noise_strength_range", 0), ("period_strength_range", 0)):
+            lo, hi = getattr(self, name)
+            if lo < floor or hi < lo:
+                raise SpecError(f"{name} must satisfy {floor} <= lo <= hi, got {(lo, hi)}")
 
 
 @dataclass(frozen=True)
@@ -146,17 +145,13 @@ class InjectionConfig:
         ``"constant"`` — replaced value is ``constant``.
     """
 
-    rate: float = 0.0
+    rate: float = declared(0.0, Range(0, 1))
     seed: int = 0
-    kind: str = "offset"
+    kind: str = declared("offset", choices=("offset", "uniform", "constant"))
     offset_sigmas: float = 5.0
     constant: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise SpecError(f"rate must be a probability, got {self.rate}")
-        if self.kind not in ("offset", "uniform", "constant"):
-            raise SpecError(f"unknown injection kind {self.kind!r}")
+    __post_init__ = check_fields
 
 
 def inject_point_anomalies(series: TimeSeries, config: InjectionConfig) -> LabeledSeries:

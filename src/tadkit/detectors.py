@@ -34,12 +34,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
+    INT64_MAX,
     MISSING,
     DegenerateScaleError,
     InputError,
+    Range,
     ScoreSequence,
     SpecError,
     TimeSeries,
+    check_fields,
+    declared,
 )
 from .periodicity import detect_period_peaks
 
@@ -78,38 +82,18 @@ class DetectorConfig:
     prefix-consistent as everything else.
     """
 
-    method: str = "spectral_residual"
-    window: int | str = 128
-    alpha: float = 0.1                  # ewma smoothing factor
-    scale_floor: float = 1e-9           # minimum denominator for scaled residuals
-    sr_ma_width: int = 3                # moving-average width on the log spectrum
-    n_clusters: int = 4
-    refit_cadence: int | None = None    # kmeans refit period; None -> window
-    auto_resolve_at: int = 256          # prefix length at which "auto" resolves
-    auto_fallback: int = 125            # window when no period is detectable
+    method: str = declared("spectral_residual", choices=METHODS)
+    window: int | str = declared(128, Range(2, INT64_MAX), ("auto",))
+    alpha: float = declared(0.1, Range(0, 1, open_lo=True))  # ewma smoothing factor
+    scale_floor: float = declared(1e-9, Range(0, open_lo=True))  # minimum denominator for scaled residuals
+    sr_ma_width: int = declared(3, Range(1, INT64_MAX))  # moving-average width on the log spectrum
+    n_clusters: int = declared(4, Range(1, INT64_MAX))
+    refit_cadence: int | None = declared(None, Range(1, INT64_MAX))  # kmeans refit period; None -> window
+    auto_resolve_at: int = declared(256, Range(3, INT64_MAX))  # prefix length at which "auto" resolves
+    auto_fallback: int = declared(125, Range(2, INT64_MAX))  # window when no period is detectable
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise SpecError(f"unknown detector method {self.method!r}")
-        if self.window != "auto":
-            if not isinstance(self.window, (int, np.integer)) or isinstance(self.window, bool):
-                raise SpecError("window must be an integer or 'auto'")
-            if self.window < 2:
-                raise SpecError(f"window must be >= 2, got {self.window}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise SpecError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.scale_floor <= 0.0:
-            raise SpecError("scale_floor must be positive")
-        if self.sr_ma_width < 1:
-            raise SpecError("sr_ma_width must be >= 1")
-        if self.n_clusters < 1:
-            raise SpecError("n_clusters must be >= 1")
-        if self.refit_cadence is not None and self.refit_cadence < 1:
-            raise SpecError("refit_cadence must be >= 1")
-        if self.auto_resolve_at < 3:
-            raise SpecError("auto_resolve_at must be >= 3")
-        if self.auto_fallback < 2:
-            raise SpecError("auto_fallback must be >= 2")
+        check_fields(self)
         if self.method == "spectral_residual" and self.window != "auto":
             _check_ma_width(int(self.window), self.sr_ma_width, _SR_PAD_POINTS)
 

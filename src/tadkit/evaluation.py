@@ -29,10 +29,13 @@ from .core import (
     LabelSequence,
     PopulationDataset,
     ProtocolError,
+    Range,
     ScoreSequence,
     SpecError,
     TimeSeries,
     as_label_array,
+    check_fields,
+    declared,
 )
 from .detectors import DetectorConfig, make_detector, run_batch, run_streaming
 from .thresholds import ThresholdSpec, Thresholder, apply_batch
@@ -62,17 +65,12 @@ class LossSpec:
     ``zero_one`` pins both costs to 1; ``weighted`` keeps what you pass.
     """
 
-    kind: str = "zero_one"
-    fn_cost: float = 1.0
-    fp_cost: float = 1.0
+    kind: str = declared("zero_one", choices=("zero_one", "weighted"))
+    fn_cost: float = declared(1.0, Range(0))
+    fp_cost: float = declared(1.0, Range(0))
 
     def __post_init__(self) -> None:
-        if self.kind not in ("zero_one", "weighted"):
-            raise SpecError(f"unknown loss kind {self.kind!r}")
-        if not (np.isfinite(self.fn_cost) and np.isfinite(self.fp_cost)):
-            raise SpecError("loss weights must be finite")
-        if self.fn_cost < 0 or self.fp_cost < 0:
-            raise SpecError("loss weights must be >= 0")
+        check_fields(self)
         if self.kind == "zero_one":
             object.__setattr__(self, "fn_cost", 1.0)
             object.__setattr__(self, "fp_cost", 1.0)
@@ -131,22 +129,16 @@ class DelaySummary:
 @dataclass(frozen=True)
 class EvalReport:
     protocol: str
-    regret: float
-    precision: float
-    recall: float
-    f1: float
+    regret: float = declared(numbers=Range(0))
+    precision: float = declared(numbers=Range(0, 1))
+    recall: float = declared(numbers=Range(0, 1))
+    f1: float = declared(numbers=Range(0, 1))
     alert_count: int
     warmup_excluded: int
     detection_delays: tuple[int, ...]
     missed_events: int
 
-    def __post_init__(self) -> None:
-        if self.regret < 0:
-            raise SpecError("regret cannot be negative")
-        for name in ("precision", "recall", "f1"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise SpecError(f"{name} must be in [0, 1], got {v}")
+    __post_init__ = check_fields
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

@@ -33,7 +33,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import DegenerateScaleError, InputError, SpecError, TimeSeries
+from .core import INT64_MAX, DegenerateScaleError, InputError, Range, SpecError, TimeSeries, refusal
 from .datagen import PeriodicGeneratorConfig, generate_periodic
 
 __all__ = [
@@ -436,12 +436,10 @@ def run_period_benchmark(
     by permuting the true periods across series; its accuracy is averaged
     over ``random_permutations`` shuffles and its runtime reported as 0.
     """
-    if n_series < 1:
-        raise SpecError("n_series must be >= 1")
-    if threads < 1:
-        raise SpecError(f"threads must be >= 1, got {threads}")
-    if random_permutations < 1:
-        raise SpecError(f"random_permutations must be >= 1, got {random_permutations}")
+    counts = {"n_series": n_series, "threads": threads, "random_permutations": random_permutations}
+    for name, count in counts.items():
+        if (problem := refusal(name, count, int, Range(1, INT64_MAX), None)) is not None:
+            raise SpecError(problem)
     config = config or PeriodicGeneratorConfig()
     if not methods:
         raise SpecError("methods must name at least one period method")

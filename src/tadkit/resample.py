@@ -12,7 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import INT64, MISSING, EventStream, SpecError, TimeSeries, as_int64
+from .core import (
+    INT64, INT64_MAX, INT64_MIN, MISSING, EventStream, Range, SpecError, TimeSeries, check_fields, declared,
+)
 
 __all__ = ["ResampleSpec", "resample", "suggest_rate"]
 
@@ -31,28 +33,19 @@ class ResampleSpec:
     to missing).
     """
 
-    interval: int
-    aggregation: str = "mean"
-    empty_bin_policy: str = "missing"
-    bin_anchor: int = 0
-    max_carry_bins: int = 5
+    interval: int = declared(numbers=Range(1, INT64_MAX))
+    aggregation: str = declared("mean", choices=_AGGREGATIONS)
+    empty_bin_policy: str = declared("missing", choices=_POLICIES)
+    bin_anchor: int = declared(0, Range(INT64_MIN, INT64_MAX))
+    max_carry_bins: int = declared(5, Range(0, INT64_MAX))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "interval", as_int64(self.interval, "interval"))
-        object.__setattr__(self, "bin_anchor", as_int64(self.bin_anchor, "bin_anchor"))
-        if self.interval <= 0:
-            raise SpecError(f"interval must be positive, got {self.interval}")
-        if self.aggregation not in _AGGREGATIONS:
-            raise SpecError(f"unknown aggregation {self.aggregation!r}")
-        if self.empty_bin_policy not in _POLICIES:
-            raise SpecError(f"unknown empty-bin policy {self.empty_bin_policy!r}")
+        check_fields(self)
         if self.empty_bin_policy == "zero" and self.aggregation not in ("sum", "count"):
             raise SpecError(
                 "a zero bin is only a faithful default for sum/count; "
                 f"got aggregation {self.aggregation!r}"
             )
-        if self.max_carry_bins < 0:
-            raise SpecError(f"max_carry_bins must be >= 0, got {self.max_carry_bins}")
 
 
 def resample(events: EventStream, spec: ResampleSpec) -> TimeSeries:

@@ -33,7 +33,7 @@ from math import floor, inf, isnan, sqrt
 
 import numpy as np
 
-from .core import ProtocolError, ScoreSequence, SpecError
+from .core import INT64_MAX, ProtocolError, Range, ScoreSequence, SpecError, check_fields, declared
 
 __all__ = [
     "ThresholdSpec",
@@ -48,36 +48,21 @@ KINDS = ("fixed_value", "trailing_percentile", "k_sigma", "feedback_adaptive")
 
 @dataclass(frozen=True)
 class ThresholdSpec:
-    kind: str = "trailing_percentile"
-    value: float = 1.0                  # fixed_value / feedback_adaptive start
-    percentile: float = 0.999           # trailing_percentile, in (0, 1)
-    k: float = 3.0                      # k_sigma multiplier
-    up: float = 1.1                     # feedback_adaptive false-positive factor
-    down: float = 0.98                  # feedback_adaptive true-positive factor
-    horizon: int | None = None          # exact trailing window; None -> reservoir
-    reservoir_size: int = 4096
+    kind: str = declared("trailing_percentile", choices=KINDS)
+    value: float = declared(1.0, Range())  # fixed_value / feedback_adaptive start
+    percentile: float = declared(0.999, Range(0, 1, open_lo=True, open_hi=True))  # trailing_percentile
+    k: float = declared(3.0, Range(0, open_lo=True))  # k_sigma multiplier
+    up: float = declared(1.1, Range(1, open_lo=True))  # feedback_adaptive false-positive factor
+    down: float = declared(0.98, Range(0, 1, open_lo=True))  # feedback_adaptive true-positive factor
+    horizon: int | None = declared(None, Range(1, INT64_MAX))  # exact trailing window; None -> reservoir
+    reservoir_size: int = declared(4096, Range(1, INT64_MAX))
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise SpecError(f"unknown threshold kind {self.kind!r}")
-        if not np.isfinite(self.value):
-            raise SpecError("value must be finite")
+        check_fields(self)
         if self.kind == "feedback_adaptive" and self.value <= 0.0:
             # feedback scales the threshold, so a start <= 0 would move the wrong way
             raise SpecError(f"feedback_adaptive start value must be > 0, got {self.value}")
-        if not 0.0 < self.percentile < 1.0:
-            raise SpecError(f"percentile must be in (0, 1), got {self.percentile}")
-        if self.k <= 0.0:
-            raise SpecError(f"k must be > 0, got {self.k}")
-        if self.up <= 1.0:
-            raise SpecError(f"up factor must be > 1, got {self.up}")
-        if not 0.0 < self.down <= 1.0:
-            raise SpecError(f"down factor must be in (0, 1], got {self.down}")
-        if self.horizon is not None and self.horizon < 1:
-            raise SpecError("horizon must be >= 1")
-        if self.reservoir_size < 1:
-            raise SpecError("reservoir_size must be >= 1")
 
 
 class Thresholder:

@@ -6,7 +6,9 @@ import math
 import types
 import tempfile
 import warnings
+from dataclasses import MISSING
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from tadkit.core import (
     SchemaError,
     SpecError,
     TimeSeries,
+    field_specs,
 )
 from tadkit.detectors import METHODS, DetectorConfig
 from tadkit.evaluation import score_and_decide
@@ -565,6 +568,35 @@ def test_labeled_loader_matches_the_per_row_oracle_on_drawn_traps(stamps, values
     assert (got[1] is None) == (expected[1] is None)
     if expected[1] is not None:
         assert got[1].labels.tobytes() == expected[1].labels.tobytes()
+
+
+# Cells for texts both routes read: numbers, runs of digits around a field
+# limit lowered to 40, and characters numpy's reader strips or reads past.
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(30, 50).map(lambda n: "0." + "0" * n + "1"),
+    st.text(alphabet="0123456789.e+-_ \t\x00\xa0\u0661nai", max_size=45),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(_CELLS, min_size=1, max_size=4), end=st.sampled_from(["\n", "\r\n"]))
+def test_numpy_and_csv_routes_agree_on_any_text(cells, end):
+    # the text as drawn takes numpy's route; a quoted header cell sends the same rows through csv.reader
+    body = "".join(f"{60 * i},{cell}{end}" for i, cell in enumerate(cells))
+    limit = csv.field_size_limit(40)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "drawn.csv"
+            outcomes = []
+            for header in ("timestamp,value", '"timestamp",value'):
+                path.write_bytes((header + end + body).encode())
+                outcomes.append(_outcome(load_labeled_csv, path))
+    finally:
+        csv.field_size_limit(limit)
+    numpy_route, csv_route = outcomes
+    if not _assert_same_outcome(numpy_route, csv_route):
+        _same_series(numpy_route[0], csv_route[0])
 
 
 def _covariate_corpus():
@@ -1291,6 +1323,9 @@ def test_flag_usage_errors_give_one_json_error_line_but_help_and_version_do_not(
     result = runner.invoke(main, ["detect", "--help"])
     assert result.exit_code == 0
     assert result.output.startswith("Usage:") and "--window" in result.output
+    text = " ".join(result.output.split())  # help lines wrap at spaces
+    assert "--alpha FLOAT DetectorConfig.alpha [a finite number in (0, 1]; default: 0.1]" in text
+    assert all(f"'{kind}'" in text.split("--threshold-kind", 1)[1].split("--", 1)[0] for kind in KINDS)
     result = runner.invoke(main, ["--version"])
     assert (result.exit_code, result.output) == (0, f"tad, version {__version__}\n")
 
@@ -1446,6 +1481,53 @@ def test_timestamp_arithmetic_past_int64_gives_one_json_error_line(runner, tmp_p
     assert payload["error"] == "SpecError" and "int64" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["datagen", "--n-series", "1", "--length", str(10**19)],
+        ["detect", "--window", str(10**19)],
+        ["detect", "--threshold-kind", "trailing_percentile", "--horizon", str(10**19)],
+        ["conditional", "--cov-lags", str(10**19)],
+    ],
+    ids=["datagen_length", "detect_window", "detect_horizon", "conditional_cov_lags"],
+)
+def test_sizes_past_int64_give_one_json_error_line(runner, tmp_path, flags):
+    args = [*flags, "--out", str(tmp_path / "out")]
+    if flags[0] == "detect":
+        args += ["--input", str(_make_input(tmp_path))]
+    if flags[0] == "conditional":
+        args += ["--input", str(_write(tmp_path / "in.csv", "timestamp,a,b\n0,1,2\n60,3,4\n120,5,7\n"))]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, repr(result.exception)
+    (line,) = result.stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "SpecError" and "int64 max" in payload["message"]
+
+
+def test_seeds_have_no_upper_bound(runner, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["datagen", "--n-series", "1", "--length", "60", "--seed", str(10**20),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert _read_report(out)[0]["config"]["seed"] == 10**20
+
+
+def test_every_numeric_key_declares_its_range_and_every_kind_its_choices():
+    for cls, binding in cli._BINDINGS.items():
+        for key, name in binding.items():
+            kind, numbers, choices = field_specs(cls)[name]
+            kinds = get_args(kind) or (kind,)
+            if int in kinds or float in kinds:
+                assert numbers is not None, f"{cls.__name__}.{name}"
+            elif key != "out":  # a path; every other str field names a kind
+                assert choices, f"{cls.__name__}.{name}"
+    for task, params in TASK_PARAMS.items():
+        for param in params.values():
+            kinds = get_args(param.type) or (param.type,)
+            if param.owner is None and (int in kinds or float in kinds):
+                assert param.range is not None, (task, param.key)
+
+
 _PAIR = np.r_[np.zeros(60), 1e308, -1e308, np.zeros(58)]
 _ALTERNATION = np.array([1e308, -1e308] * 100)
 
@@ -1552,50 +1634,62 @@ def test_any_report_replays_from_its_own_meta_record(runner, tmp_path, task, fla
             assert (second / path.name).read_bytes() == path.read_bytes(), path.name
 
 
-# Values of the declared type.  Ranges reach a little past the valid ones, and
-# sizes stay small so each drawn run takes milliseconds.
-_RIGHT_TYPED = {
-    "seed": st.integers(-1, 50),
-    "out": st.just("overridden-by-the-flag"),
-    "method": st.sampled_from([*METHODS, "bogus"]),
-    "window": st.integers(1, 300) | st.just("auto"),
-    "alpha": st.floats(0.0, 1.2),
-    "n_clusters": st.integers(0, 6),
-    "protocol": st.sampled_from(["streaming", "batch", "bogus"]),
-    "threshold_kind": st.sampled_from([*KINDS, "bogus"]),
-    "threshold_value": st.floats(-1.0, 5.0),
-    "percentile": st.floats(0.0, 1.0),
-    "k": st.floats(-0.5, 5.0),
-    "up": st.floats(0.9, 3.0),
-    "down": st.floats(0.0, 1.2),
-    "horizon": st.none() | st.integers(0, 300),
-    "n_series": st.integers(0, 3),
-    "length": st.integers(40, 500),
-    "period": st.none() | st.integers(-1, 60),
-    "start": st.integers(-10, 10**9),
-    "interval": st.integers(-1, 3600),
-    "inject_rate": st.floats(-0.5, 1.5),
-    "inject_kind": st.sampled_from(["offset", "uniform", "constant", "bogus"]),
-}
+def _declared(param):
+    """Values for ``param`` from its declaration: the low end and one below it,
+    small values inside, one past the high end, and a bogus choice.  The high
+    end itself is never drawn: no bound tied to the input refuses a size that
+    large yet, so a run would try to allocate it."""
+    kinds = get_args(param.type) or (param.type,)
+    options = [st.none()] if type(None) in kinds else []
+    if param.choices:
+        options.append(st.sampled_from([*param.choices, "bogus"]))
+    numbers = param.range
+    if numbers is not None:
+        base = -5 if numbers.lo is None else max(numbers.lo, 0)
+        if int in kinds:
+            options.append(st.integers(base, base + 8))
+        else:
+            options.append(st.floats(base, base + 10 if numbers.hi is None else numbers.hi))
+        ends = [] if numbers.lo is None else [numbers.lo, numbers.lo - 1]
+        ends += [] if numbers.hi is None else [numbers.hi + 1]
+        options += [st.sampled_from(ends)] if ends else []
+    return st.one_of(options)
+
+
 _WRONG_TYPED = st.sampled_from(["x", True, 2.5, None, [1], float("nan")])
-
-
 @pytest.fixture(scope="module")
-def drawn_input(tmp_path_factory):
-    return _make_input(tmp_path_factory.mktemp("drawn"))
+def drawn_files(tmp_path_factory):
+    """Per task, strategies for the keys that name files or columns: small inputs each run reads."""
+    root = tmp_path_factory.mktemp("drawn")
+    series = {"input": st.just(str(_make_input(root)))}
+    rows = "".join(f"{60 * i},{math.sin(i / 5)!r},{i % 7}\n" for i in range(80))
+    covariates = str(_write(root / "covariates.csv", "timestamp,a,b\n" + rows))
+    matrix = _write(root / "matrix.csv", "series_id,t0,t1,t2\n" + "".join(
+        f"s{i},{int(i < 3)},{int(i % 2 == 0)},{int(i == 1)}\n" for i in range(6)))
+    attributes = _write(root / "attr.csv", "series_id,device,region\n" + "".join(
+        f"s{i},{'ab'[i % 2]},{'xyz'[i % 3]}\n" for i in range(6)))
+    common = {"out": st.just("overridden-by-the-flag"), "labels": st.none()}
+    return {
+        "detect": {**common, **series},
+        "datagen": common,
+        "resample": {**common, **series},
+        "conditional": {**common, "input": st.just(covariates), "target": st.sampled_from([None, "a", "b", "x"])},
+        "cohort": {**common, "matrix": st.just(str(matrix)), "attributes": st.just(str(attributes))},
+    }
 
 
-@pytest.mark.parametrize("task", ["detect", "datagen"])
+@pytest.mark.parametrize("task", ["detect", "datagen", "resample", "conditional", "cohort"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_any_config_document_runs_or_gives_one_json_error(drawn_input, task, data):
-    right = {**_RIGHT_TYPED, "input": st.just(str(drawn_input))}
-    keys = TASK_PARAMS[task]
-    assert set(keys) <= set(right)
+def test_any_config_document_runs_or_gives_one_json_error(drawn_files, task, data):
+    keys, files = TASK_PARAMS[task], drawn_files[task]
+    assert all(key in files or param.range or param.choices for key, param in keys.items())
+    right = {key: files[key] if key in files else _declared(param) for key, param in keys.items()}
+    required = [key for key, param in keys.items() if param.default is MISSING]
     doc = data.draw(
         st.fixed_dictionaries(
-            {key: right[key] for key in keys if key == "input"},
-            optional={key: right[key] for key in keys if key != "input"},
+            {key: right[key] for key in required},
+            optional={key: right[key] for key in keys if key not in required},
         )
     )
     wrong = data.draw(st.none() | st.sampled_from(sorted(keys)))

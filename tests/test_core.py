@@ -1,7 +1,10 @@
+from typing import get_args
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tadkit.cli import _BINDINGS
 from tadkit.core import (
     MISSING,
     AlignmentError,
@@ -16,9 +19,12 @@ from tadkit.core import (
     SpecError,
     TimeSeries,
     align,
+    field_specs,
     is_missing,
     slice_prefix,
 )
+from tadkit.detectors import DetectorConfig
+from tadkit.resample import ResampleSpec
 
 
 def test_time_series_basics():
@@ -210,3 +216,41 @@ def test_align_errors():
         align([a, TimeSeries(3, 10, np.arange(3, dtype=float))])  # off-grid start
     with pytest.raises(AlignmentError):
         align([a, TimeSeries(100, 10, np.arange(3, dtype=float))])  # disjoint
+
+
+# the fields without a default of the config dataclasses the command line builds
+_REQUIRED = {"ExperimentConfig": {"task": "detect"}, "ResampleSpec": {"interval": 60}}
+
+
+def _refused_values():
+    """``(class, field, value)``: for each declared field of a config class, a
+    bogus choice, values of a wrong type, a value below its range and one
+    above it if it has a high end."""
+    for cls in _BINDINGS:
+        for name, (kind, numbers, choices) in field_specs(cls).items():
+            if choices is not None:
+                yield cls, name, "bogus"
+            if numbers is None:
+                if choices is not None:
+                    yield cls, name, 1
+                continue
+            integer = int in (get_args(kind) or (kind,))
+            yield from ((cls, name, value) for value in ("x", True, 2.5 if integer else float("nan")))
+            if numbers.lo is not None:
+                yield cls, name, numbers.lo - 1
+            if numbers.hi is not None:
+                yield cls, name, numbers.hi + 1
+
+
+@pytest.mark.parametrize(
+    "cls, name, value", list(_refused_values()), ids=lambda v: v.__name__ if isinstance(v, type) else repr(v)
+)
+def test_config_fields_refuse_values_their_declarations_do_not_take(cls, name, value):
+    with pytest.raises(SpecError, match=f"^{cls.__name__}.{name} must be "):
+        cls(**{**_REQUIRED.get(cls.__name__, {}), name: value})
+
+
+def test_config_fields_take_numpy_integers_as_ints():
+    spec = ResampleSpec(interval=np.int64(60), bin_anchor=np.int32(-5))
+    assert (spec.interval, spec.bin_anchor) == (60, -5) and type(spec.bin_anchor) is int
+    assert type(DetectorConfig(window=np.int64(16)).window) is int
