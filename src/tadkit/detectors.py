@@ -69,6 +69,8 @@ _ZNORM_EPS = 1e-12
 _SR_BLOCK_ROWS = 32
 # Extrapolated points appended to each spectral-residual window.
 _SR_PAD_POINTS = 5
+# Terms from which OpenBLAS's ddot, behind np.convolve, adds in SIMD lanes.
+_SIMD_DOT_TERMS = 16
 
 
 @dataclass(frozen=True)
@@ -128,9 +130,12 @@ class StreamingDetector(ABC):
     def warmup(self) -> int:
         """Number of leading sentinel scores before the first real one."""
 
-    @abstractmethod
     def _score(self, x: float) -> float:
-        """Consume one point, return its score (MISSING while warming up)."""
+        """Consume one point, return its score (MISSING while warming up).
+
+        ``update`` calls it; a detector that scores in ``update`` itself has none.
+        """
+        raise NotImplementedError
 
     def update(self, x: float) -> float:
         if not isfinite(x):
@@ -188,8 +193,8 @@ class _SaliencyKernel:
         self.n = n
         self._m = m = _pad_count(n, pad_points)
         self._steps = np.arange(1.0, m + 1)
-        self._ma_kernel = np.ones(ma_width)
-        self._ma_denominator = np.convolve(np.ones(n + m), self._ma_kernel, mode="same")
+        self._ma_width = ma_width
+        self._ma_denominator = _moving_sums(np.ones(n + m), ma_width)
         # flat, so that a 1-D window and a block of rows view it alike
         self._ext = np.empty(rows * (n + m), dtype=np.float64)
 
@@ -212,8 +217,7 @@ class _SaliencyKernel:
         # into strided z.imag, arctan2 runs another loop, with other bits.
         real = z.real
         phase = np.arctan2(z.imag, real, out=ext)
-        for row, out in zip(log_amp.reshape(-1, n + m), real.reshape(-1, n + m)):
-            np.divide(np.convolve(row, self._ma_kernel, mode="same"), self._ma_denominator, out=out)
+        np.divide(_moving_sums(log_amp, self._ma_width), self._ma_denominator, out=real)
         np.subtract(log_amp, real, out=real)
         z.imag = phase
         return np.abs(np.fft.ifft(np.exp(z, out=z), axis=-1), out=log_amp)[..., :n]
@@ -223,6 +227,30 @@ class _SaliencyKernel:
         sal = self(windows)
         mean_sal = np.add.reduce(sal, axis=-1) / self.n
         return np.maximum((sal.T[-1] - mean_sal) / (mean_sal + _SAL_EPS), 0.0)
+
+
+def _moving_sums(rows: np.ndarray, width: int) -> np.ndarray:
+    """``np.convolve(row, np.ones(width), "same")`` of each row (the last axis) of ``rows``.
+
+    Adds the shifted slices of the whole block onto zeros in index order,
+    edges truncated, as BLAS ``ddot`` adds a dot product of fewer than
+    ``_SIMD_DOT_TERMS`` terms, so each row is ``np.convolve``'s bit for bit.
+    ``ddot`` adds longer ones in SIMD lanes, whose sums can differ in the last
+    bit, so wider windows still go through ``np.convolve``, row by row.
+    """
+    sums = np.zeros(rows.shape)
+    n = rows.shape[-1]
+    if width >= _SIMD_DOT_TERMS:
+        ones = np.ones(width)
+        for row, out in zip(rows.reshape(-1, n), sums.reshape(-1, n)):
+            out[:] = np.convolve(row, ones, mode="same")
+        return sums
+    for shift in range(-(width // 2), width - width // 2):
+        if shift < 0:
+            sums[..., -shift:] += rows[..., : n + shift]
+        else:
+            sums[..., : n - shift] += rows[..., shift:]
+    return sums
 
 
 class _SpectralResidualDetector(StreamingDetector):
@@ -252,8 +280,7 @@ class _SpectralResidualDetector(StreamingDetector):
 
 
 class _EwmaResidualDetector(StreamingDetector):
-    """Runs on floats, or on arrays of one lane per series of a shared grid given
-    ``maximum=np.maximum``: its branches hang on the step count alone."""
+    """Scores in ``update`` itself, one call per point, with both of its checks."""
 
     def __init__(self, config: DetectorConfig):
         super().__init__(config)
@@ -264,18 +291,23 @@ class _EwmaResidualDetector(StreamingDetector):
         # one EW span's worth of residuals before the scale stands alone
         self._calibration = ceil(1.0 / config.alpha)
         self._alpha = config.alpha
+        self._keep = 1.0 - config.alpha
         self._floor = config.scale_floor
 
     @property
     def warmup(self) -> int:
         return 1
 
-    def _score(self, x, maximum=max):
+    def update(self, x: float) -> float:
+        if not isfinite(x):
+            raise InputError(f"detector input must be finite, got {x!r}")
+        self.count += 1
+        x = float(x)
         mean = self._mean
         if mean is None:
             self._mean = x
             return MISSING
-        a = self._alpha
+        a, floor = self._alpha, self._floor
         resid = x - mean
         r = abs(resid)
         self._resid_count = count = self._resid_count + 1
@@ -288,9 +320,12 @@ class _EwmaResidualDetector(StreamingDetector):
             scale = total / count
         else:
             scale = self._scale
-        score = r / maximum(scale, self._floor)
+        # max(scale, floor), which keeps a NaN scale
+        score = r / (floor if floor > scale else scale)
         self._mean = mean + a * resid
-        self._scale = r if count == 1 else (1.0 - a) * self._scale + a * r
+        self._scale = r if count == 1 else self._keep * self._scale + a * r
+        if not isfinite(score):  # every score after the first point is past the warmup
+            raise InputError("scores past the warmup must be finite")
         return score
 
 

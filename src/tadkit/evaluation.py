@@ -19,6 +19,7 @@ batch and streaming numbers are never interchangeable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import ceil
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -309,9 +310,10 @@ class DetectorThresholdPolicy:
         return self._detector.warmup
 
     def decide(self, prefix: np.ndarray, log: FeedbackLog) -> int:
-        for index, label in log.since(self._consumed):
-            self._thresholder.feedback(label)
-            self._consumed += 1
+        if len(log) > self._consumed:
+            for index, label in log.since(self._consumed):
+                self._thresholder.feedback(label)
+                self._consumed += 1
         score = self._detector.update(float(prefix[-1]))
         return self._thresholder.update(score)
 
@@ -333,14 +335,15 @@ def run_hil(
     values = series.values
     lab = as_label_array(labels, len(values))
     log = FeedbackLog()
-    pred = np.zeros(len(values), dtype=np.int8)
+    truth, decisions = lab.tolist(), []
     for t in range(len(values)):
         decision = policy.decide(values[: t + 1], log)
         if decision not in (0, 1):
             raise ProtocolError(f"policy returned {decision!r}, expected 0 or 1")
-        pred[t] = decision
+        decisions.append(decision)
         if decision == 1:
-            log.record(t, int(lab[t]))
+            log.record(t, truth[t])
+    pred = np.array(decisions, dtype=np.int8)
     if log.indices() != tuple(np.nonzero(pred == 1)[0]):
         raise ProtocolError("feedback log out of sync with flagged points")
     warmup = int(policy.warmup)
@@ -370,20 +373,41 @@ def run_population(
 def _lane_decisions(
     detector_config: DetectorConfig, threshold: ThresholdSpec, population: PopulationDataset
 ) -> np.ndarray:
-    """Streaming decisions of every series, all series stepped together."""
+    """Streaming decisions of every series, all series stepped together.
+
+    The EWMA detector's and the threshold's recurrences over arrays of one
+    lane per series, with the IEEE operations of the scalar ``update`` steps
+    in their order, so each lane decides as one series at a time does.
+    """
     values = np.array([s.values for s in population.series])
     if np.isnan(values).any():
         raise InputError("detectors need a gap-free series; resample first")
-    detector, thresholder = make_detector(detector_config), Thresholder(threshold)
-    thresholder._sqrt = np.sqrt  # its arithmetic on arrays
+    a, floor, k = detector_config.alpha, detector_config.scale_floor, threshold.k
+    calibration, keep, sigma = ceil(1.0 / a), 1.0 - a, threshold.kind == "k_sigma"
     scores = np.zeros(values.shape[::-1])
     pred = np.zeros(values.shape[::-1], dtype=np.int8)
+    limit = threshold.value  # fixed_value, or feedback_adaptive with no feedback
+    columns = iter(values.T)
+    mean, total, scale = next(columns, None), 0.0, 0.0  # the first points are the warmup
+    mean_score, m2 = 0.0, 0.0  # k_sigma, which has absorbed count - 1 scores at step count
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, column in enumerate(values.T):
-            scores[t] = score = detector._score(column, np.maximum)
-            if t >= detector.warmup:
-                pred[t] = score > thresholder.threshold
-                thresholder._absorb(score)
-    if not np.isfinite(scores[detector.warmup :]).all():
+        for count, x in enumerate(columns, start=1):
+            resid = x - mean
+            r = np.abs(resid)
+            if count <= calibration:
+                total = total + r
+                scores[count] = score = r / np.maximum(total / count, floor)
+                scale = r if count == 1 else keep * scale + a * r
+            else:
+                scores[count] = score = r / np.maximum(scale, floor)
+                scale = keep * scale + a * r
+            mean = mean + a * resid
+            if sigma:
+                limit = mean_score + k * np.sqrt(m2 / (count - 1)) if count > 2 else np.inf
+                delta = score - mean_score
+                mean_score = mean_score + delta / count
+                m2 = m2 + delta * (score - mean_score)
+            pred[count] = score > limit
+    if not np.isfinite(scores[1:]).all():
         raise InputError("scores past the warmup must be finite")
     return np.ascontiguousarray(pred.T)

@@ -66,86 +66,26 @@ class ThresholdSpec:
 
 
 class Thresholder:
-    """Streaming score -> decision converter with prefix-only state."""
+    """Streaming score -> decision converter with prefix-only state.
+
+    ``Thresholder(spec)`` builds the class of ``spec.kind``, as ``pathlib.Path``
+    builds its flavour's, so the kind is chosen once.  Each kind's
+    ``update(score)`` is one straight-line call: decide 1 iff ``score`` exceeds
+    ``threshold``, the threshold in force, then absorb the score into state.
+    NaN (warmup sentinel) returns 0 and touches nothing.  ``threshold`` is
+    +inf until the strategy has any state to speak from, so nothing is
+    flagged off an empty history.
+    """
+
+    def __new__(cls, spec: ThresholdSpec):
+        return super().__new__(_KIND_CLASSES[spec.kind] if cls is Thresholder else cls)
+
+    def __getnewargs__(self) -> tuple[ThresholdSpec]:
+        return (self.spec,)  # what unpickling and copying pass to __new__
 
     def __init__(self, spec: ThresholdSpec):
         self.spec = spec
         self._awaiting_feedback = False
-        # trailing_percentile state
-        self._reservoir: list[float] = []
-        self._seen = 0
-        self._rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
-        self._window: deque[float] | None = (
-            deque(maxlen=spec.horizon) if spec.horizon is not None else None
-        )
-        self._sorted: list[float] = []  # the pool (window or reservoir), ascending
-        self._percentile: float | None = None  # cached until the pool changes
-        # k_sigma state (Welford); arrays of one lane per series once _sqrt is np.sqrt
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._sqrt = sqrt
-        # feedback_adaptive state
-        self._adaptive = spec.value
-
-    @property
-    def threshold(self) -> float:
-        """The threshold that the next score will be compared against.
-
-        +inf until the strategy has any state to speak from, so nothing is
-        flagged off an empty history.
-        """
-        kind = self.spec.kind
-        if kind == "fixed_value":
-            return self.spec.value
-        if kind == "feedback_adaptive":
-            return self._adaptive
-        if kind == "trailing_percentile":
-            if self._percentile is None:
-                self._percentile = _linear_quantile(self._sorted, self.spec.percentile)
-            return self._percentile
-        # k_sigma
-        if self._n < 2:
-            return np.inf
-        return self._mean + self.spec.k * self._sqrt(self._m2 / self._n)
-
-    def update(self, score: float) -> int:
-        """Decide on one score, then absorb it into state.
-
-        NaN (warmup sentinel) returns 0 and touches nothing.
-        """
-        if isnan(score):
-            return 0
-        decision = 1 if score > self.threshold else 0
-        self._absorb(float(score))
-        self._awaiting_feedback = decision == 1
-        return decision
-
-    def _absorb(self, score: float) -> None:
-        kind = self.spec.kind
-        if kind == "trailing_percentile":
-            if self._window is not None:
-                if len(self._window) == self._window.maxlen:
-                    _discard(self._sorted, self._window[0])
-                self._window.append(score)
-            else:
-                self._seen += 1
-                if len(self._reservoir) < self.spec.reservoir_size:
-                    self._reservoir.append(score)
-                else:
-                    j = int(self._rng.integers(1, self._seen + 1))
-                    if j > self.spec.reservoir_size:
-                        return
-                    _discard(self._sorted, self._reservoir[j - 1])
-                    self._reservoir[j - 1] = score
-            insort(self._sorted, score)
-            self._percentile = None
-        elif kind == "k_sigma":
-            self._n += 1
-            delta = score - self._mean
-            self._mean += delta / self._n
-            self._m2 += delta * (score - self._mean)
-        # fixed_value and feedback_adaptive hold no score state
 
     def feedback(self, label: int) -> None:
         """Annotate the most recent decision; only flagged points qualify.
@@ -163,8 +103,118 @@ class Thresholder:
         if label not in (0, 1):
             raise SpecError(f"label must be 0 or 1, got {label!r}")
         self._awaiting_feedback = False
-        if self.spec.kind == "feedback_adaptive":
-            self._adaptive *= self.spec.up if label == 0 else self.spec.down
+
+
+class _FixedValue(Thresholder):
+    def __init__(self, spec: ThresholdSpec):
+        super().__init__(spec)
+        self._value = spec.value
+
+    @property
+    def threshold(self) -> float:
+        return self._value
+
+    def update(self, score: float) -> int:
+        if isnan(score):
+            return 0
+        decision = 1 if score > self._value else 0
+        self._awaiting_feedback = decision == 1
+        return decision
+
+
+class _FeedbackAdaptive(_FixedValue):
+    """A fixed value that feedback multiplies."""
+
+    def feedback(self, label: int) -> None:
+        super().feedback(label)
+        self._value *= self.spec.up if label == 0 else self.spec.down
+
+
+class _TrailingPercentile(Thresholder):
+    """Percentile of a pool of past scores: the trailing window, or a seeded reservoir."""
+
+    def __init__(self, spec: ThresholdSpec):
+        super().__init__(spec)
+        self._reservoir: list[float] = []
+        self._seen = 0
+        self._rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
+        self._window: deque[float] | None = (
+            deque(maxlen=spec.horizon) if spec.horizon is not None else None
+        )
+        self._sorted: list[float] = []  # the pool (window or reservoir), ascending
+        self._percentile: float | None = None  # cached until the pool changes
+
+    @property
+    def threshold(self) -> float:
+        if self._percentile is None:
+            self._percentile = _linear_quantile(self._sorted, self.spec.percentile)
+        return self._percentile
+
+    def update(self, score: float) -> int:
+        if isnan(score):
+            return 0
+        threshold = self._percentile
+        if threshold is None:
+            threshold = self._percentile = _linear_quantile(self._sorted, self.spec.percentile)
+        decision = 1 if score > threshold else 0
+        self._awaiting_feedback = decision == 1
+        score = float(score)
+        window = self._window
+        if window is not None:
+            if len(window) == window.maxlen:
+                _discard(self._sorted, window[0])
+            window.append(score)
+        else:
+            self._seen += 1
+            size = self.spec.reservoir_size
+            if len(self._reservoir) < size:
+                self._reservoir.append(score)
+            else:
+                j = int(self._rng.integers(1, self._seen + 1))
+                if j > size:
+                    return decision
+                _discard(self._sorted, self._reservoir[j - 1])
+                self._reservoir[j - 1] = score
+        insort(self._sorted, score)
+        self._percentile = None
+        return decision
+
+
+class _KSigma(Thresholder):
+    """Running mean plus ``k`` running standard deviations (Welford)."""
+
+    def __init__(self, spec: ThresholdSpec):
+        super().__init__(spec)
+        self._k = spec.k
+        self._n = 0
+        self._mean = 0.0
+        self._m2 = 0.0
+
+    @property
+    def threshold(self) -> float:
+        n = self._n
+        return self._mean + self._k * sqrt(self._m2 / n) if n >= 2 else inf
+
+    def update(self, score: float) -> int:
+        if isnan(score):
+            return 0
+        n, mean = self._n, self._mean
+        decision = 1 if n >= 2 and score > mean + self._k * sqrt(self._m2 / n) else 0
+        score = float(score)
+        self._n = n = n + 1
+        delta = score - mean
+        self._mean = mean = mean + delta / n
+        self._m2 += delta * (score - mean)
+        self._awaiting_feedback = decision == 1
+        return decision
+
+
+_KIND_CLASSES = {
+    "fixed_value": _FixedValue,
+    "trailing_percentile": _TrailingPercentile,
+    "k_sigma": _KSigma,
+    "feedback_adaptive": _FeedbackAdaptive,
+}
 
 
 def _discard(ordered: list[float], value: float) -> None:

@@ -11,6 +11,7 @@ from tadkit.detectors import (
     METHODS,
     DetectorConfig,
     _SaliencyKernel,
+    _moving_sums,
     make_detector,
     run_batch,
     run_streaming,
@@ -172,6 +173,20 @@ def test_sr_row_kernel_equals_the_one_window_oracle(ma_width, pad_points, w):
         # one window as a 1-D array, the way ``update`` scores it
         assert kernel(row).tobytes() == want.tobytes()
         assert kernel.newest_scores(row).tobytes() == np.float64(want_score).tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+def test_moving_sums_equal_np_convolve_bit_for_bit(width):
+    # below 16 the shifted slices repeat ddot's order; 16 and 17 take np.convolve itself
+    rng = np.random.default_rng(width)
+    for n in sorted({width, width + 1, 37, 133}):
+        rows = rng.standard_normal((12, n)) * rng.choice([1e-3, 1.0, 1e4], size=(12, 1))
+        rows[3] = np.round(rows[3])                 # ties and exact zeros
+        rows[4, ::2] = -0.0                         # signed zeros
+        rows[5] = 1e300                             # large, near overflow
+        expected = np.array([np.convolve(row, np.ones(width), mode="same") for row in rows])
+        assert _moving_sums(rows, width).tobytes() == expected.tobytes()
+        assert _moving_sums(rows[1], width).tobytes() == expected[1].tobytes()
 
 
 def test_sr_moving_average_wider_than_the_extended_window_is_a_spec_error():

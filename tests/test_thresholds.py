@@ -351,35 +351,76 @@ def test_trailing_percentile_equals_quantile_of_its_pool_at_every_step(q, horizo
             assert thr.update(s) == (1 if s > expected else 0)
 
 
-def _restart_run(spec, values, cut=None):
-    """Spectral residual + thresholder; pickled and restored after ``cut`` points."""
-    detector = make_detector(DetectorConfig(method="spectral_residual", window=16))
+SPIKES = (90, 150, 200)
+
+
+def _restart_run(spec, values, cut=None, method="spectral_residual"):
+    """A detector + thresholder, pickled and restored after ``cut`` points; each
+    flagged point gets its label as feedback (1 on a planted spike)."""
+    detector = make_detector(DetectorConfig(method=method, window=16))
     thresholder = Thresholder(spec)
     out = []
     for t, x in enumerate(values):
         if t == cut:
             detector, thresholder = pickle.loads(pickle.dumps((detector, thresholder)))
         threshold = thresholder.threshold
-        out.append((threshold, thresholder.update(detector.update(float(x)))))
+        decision = thresholder.update(detector.update(float(x)))
+        if decision == 1:
+            thresholder.feedback(1 if t in SPIKES else 0)
+        out.append((threshold, decision))
     return out
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "method, spec",
     [
-        ThresholdSpec(kind="trailing_percentile", percentile=0.9, reservoir_size=32, seed=4),
-        ThresholdSpec(kind="trailing_percentile", percentile=0.9, horizon=25),
+        ("spectral_residual", ThresholdSpec(kind="trailing_percentile", percentile=0.9, reservoir_size=32, seed=4)),
+        ("spectral_residual", ThresholdSpec(kind="trailing_percentile", percentile=0.9, horizon=25)),
+        ("spectral_residual", ThresholdSpec(kind="fixed_value", value=0.5)),
+        ("spectral_residual", ThresholdSpec(kind="k_sigma", k=2.0)),
+        ("spectral_residual", ThresholdSpec(kind="feedback_adaptive", value=0.5)),
+        ("ewma_residual", ThresholdSpec(kind="trailing_percentile", percentile=0.9, reservoir_size=32, seed=4)),
+        ("ewma_residual", ThresholdSpec(kind="trailing_percentile", percentile=0.9, horizon=25)),
+        ("ewma_residual", ThresholdSpec(kind="fixed_value", value=2.0)),
+        ("ewma_residual", ThresholdSpec(kind="k_sigma", k=2.0)),
+        ("ewma_residual", ThresholdSpec(kind="feedback_adaptive", value=2.0)),
     ],
-    ids=["reservoir", "horizon"],
+    ids=["reservoir", "horizon", "fixed_value", "k_sigma", "feedback_adaptive",
+         "ewma-reservoir", "ewma-horizon", "ewma-fixed_value", "ewma-k_sigma", "ewma-feedback_adaptive"],
 )
-def test_a_pickled_detector_and_thresholder_continue_bit_for_bit(spec):
+def test_a_pickled_detector_and_thresholder_continue_bit_for_bit(method, spec):
     rng = np.random.default_rng(17)
     values = np.sin(np.arange(240) / 5.0) + 0.2 * rng.standard_normal(240)
-    values[[90, 150, 200]] += 4.0
-    whole = _restart_run(spec, values)
+    values[list(SPIKES)] += 4.0
+    whole = _restart_run(spec, values, method=method)
+    assert 0 < sum(d for _, d in whole) < len(whole) / 4
     for cut in (30, 120, 239):
-        resumed = _restart_run(spec, values, cut)
+        resumed = _restart_run(spec, values, cut, method)
         assert [struct.pack("<d", thr) for thr, _ in resumed] == [
             struct.pack("<d", thr) for thr, _ in whole
         ]
         assert [d for _, d in resumed] == [d for _, d in whole]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_kind_decides_against_the_threshold_read_just_before(kind):
+    rng = np.random.default_rng(18)
+    scores = rng.exponential(1.0, size=400)
+    scores[::7] = np.nan
+    for spec in (ThresholdSpec(kind=kind, value=2.0, reservoir_size=16, seed=3),
+                 ThresholdSpec(kind=kind, value=2.0, horizon=20)):
+        thr = Thresholder(spec)
+        flagged = 0
+        for t, s in enumerate(scores.tolist()):
+            before, state = thr.threshold, pickle.dumps(thr)
+            decision = thr.update(s)
+            if np.isnan(s):
+                assert decision == 0
+                assert struct.pack("<d", thr.threshold) == struct.pack("<d", before)
+                assert pickle.dumps(thr) == state
+            else:
+                assert decision == int(s > before)
+            if decision == 1:
+                flagged += 1
+                thr.feedback(t % 2)
+        assert flagged > 0
