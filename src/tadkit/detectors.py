@@ -193,8 +193,8 @@ class _SaliencyKernel:
         self.n = n
         self._m = m = _pad_count(n, pad_points)
         self._steps = np.arange(1.0, m + 1)
-        self._ma_width = ma_width
-        self._ma_denominator = _moving_sums(np.ones(n + m), ma_width)
+        self._ma_kernel = np.ones(ma_width)
+        self._ma_denominator = _moving_sums(np.ones(n + m), self._ma_kernel)
         # flat, so that a 1-D window and a block of rows view it alike
         self._ext = np.empty(rows * (n + m), dtype=np.float64)
 
@@ -217,7 +217,7 @@ class _SaliencyKernel:
         # into strided z.imag, arctan2 runs another loop, with other bits.
         real = z.real
         phase = np.arctan2(z.imag, real, out=ext)
-        np.divide(_moving_sums(log_amp, self._ma_width), self._ma_denominator, out=real)
+        np.divide(_moving_sums(log_amp, self._ma_kernel), self._ma_denominator, out=real)
         np.subtract(log_amp, real, out=real)
         z.imag = phase
         return np.abs(np.fft.ifft(np.exp(z, out=z), axis=-1), out=log_amp)[..., :n]
@@ -229,19 +229,21 @@ class _SaliencyKernel:
         return np.maximum((sal.T[-1] - mean_sal) / (mean_sal + _SAL_EPS), 0.0)
 
 
-def _moving_sums(rows: np.ndarray, width: int) -> np.ndarray:
-    """``np.convolve(row, np.ones(width), "same")`` of each row (the last axis) of ``rows``.
+def _moving_sums(rows: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """``np.convolve(row, ones, "same")`` of each row (the last axis) of ``rows``; ``ones`` is all 1.0.
 
-    Adds the shifted slices of the whole block onto zeros in index order,
-    edges truncated, as BLAS ``ddot`` adds a dot product of fewer than
-    ``_SIMD_DOT_TERMS`` terms, so each row is ``np.convolve``'s bit for bit.
-    ``ddot`` adds longer ones in SIMD lanes, whose sums can differ in the last
-    bit, so wider windows still go through ``np.convolve``, row by row.
+    A block of rows adds the shifted slices of the whole block onto zeros in
+    index order, edges truncated, as BLAS ``ddot`` adds a dot product of
+    fewer than ``_SIMD_DOT_TERMS`` terms, so each row is ``np.convolve``'s
+    bit for bit.  ``ddot`` adds longer ones in SIMD lanes, whose sums can
+    differ in the last bit, so wider windows go through ``np.convolve`` row
+    by row; so does a single row, where one call costs less than the slices'.
     """
+    n, width = rows.shape[-1], len(ones)
+    if rows.ndim == 1:
+        return np.convolve(rows, ones, mode="same")
     sums = np.zeros(rows.shape)
-    n = rows.shape[-1]
     if width >= _SIMD_DOT_TERMS:
-        ones = np.ones(width)
         for row, out in zip(rows.reshape(-1, n), sums.reshape(-1, n)):
             out[:] = np.convolve(row, ones, mode="same")
         return sums

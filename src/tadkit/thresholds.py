@@ -69,9 +69,9 @@ class Thresholder:
     """Streaming score -> decision converter with prefix-only state.
 
     ``Thresholder(spec)`` builds the class of ``spec.kind``, as ``pathlib.Path``
-    builds its flavour's, so the kind is chosen once.  Each kind's
-    ``update(score)`` is one straight-line call: decide 1 iff ``score`` exceeds
-    ``threshold``, the threshold in force, then absorb the score into state.
+    builds its flavour's, so the kind is chosen once and no step compares
+    kinds.  Each kind's ``update(score)`` decides 1 iff ``score`` exceeds
+    ``threshold``, the threshold in force, then absorbs the score into state.
     NaN (warmup sentinel) returns 0 and touches nothing.  ``threshold`` is
     +inf until the strategy has any state to speak from, so nothing is
     flagged off an empty history.
@@ -106,6 +106,8 @@ class Thresholder:
 
 
 class _FixedValue(Thresholder):
+    """A constant threshold."""
+
     def __init__(self, spec: ThresholdSpec):
         super().__init__(spec)
         self._value = spec.value
@@ -153,10 +155,7 @@ class _TrailingPercentile(Thresholder):
     def update(self, score: float) -> int:
         if isnan(score):
             return 0
-        threshold = self._percentile
-        if threshold is None:
-            threshold = self._percentile = _linear_quantile(self._sorted, self.spec.percentile)
-        decision = 1 if score > threshold else 0
+        decision = 1 if score > self.threshold else 0
         self._awaiting_feedback = decision == 1
         score = float(score)
         window = self._window
