@@ -69,7 +69,7 @@ _ZNORM_EPS = 1e-12
 _SR_BLOCK_ROWS = 32
 # Extrapolated points appended to each spectral-residual window.
 _SR_PAD_POINTS = 5
-# Terms from which OpenBLAS's ddot, behind np.convolve, adds in SIMD lanes.
+# Terms from which OpenBLAS's x86-64 ddot, behind np.convolve, adds in SIMD lanes.
 _SIMD_DOT_TERMS = 16
 
 
@@ -232,16 +232,15 @@ class _SaliencyKernel:
 def _moving_sums(rows: np.ndarray, ones: np.ndarray) -> np.ndarray:
     """``np.convolve(row, ones, "same")`` of each row (the last axis) of ``rows``; ``ones`` is all 1.0.
 
-    A block of rows adds the shifted slices of the whole block onto zeros in
-    index order, edges truncated, as BLAS ``ddot`` adds a dot product of
-    fewer than ``_SIMD_DOT_TERMS`` terms, so each row is ``np.convolve``'s
-    bit for bit.  ``ddot`` adds longer ones in SIMD lanes, whose sums can
-    differ in the last bit, so wider windows go through ``np.convolve`` row
-    by row; so does a single row, where one call costs less than the slices'.
+    Below ``_SIMD_DOT_TERMS`` terms, one row or a block adds the shifted
+    slices onto zeros in index order, edges truncated; from it, each row goes
+    through ``np.convolve``.  The path depends on the width alone, so one
+    window and a block of windows get the same bits on any BLAS.  The slices
+    match ``np.convolve`` bit for bit where its ``ddot`` adds fewer than 16
+    terms one at a time, as OpenBLAS's x86-64 kernel does; ``ddot`` adds
+    longer ones in SIMD lanes, whose sums can differ in the last bit.
     """
     n, width = rows.shape[-1], len(ones)
-    if rows.ndim == 1:
-        return np.convolve(rows, ones, mode="same")
     sums = np.zeros(rows.shape)
     if width >= _SIMD_DOT_TERMS:
         for row, out in zip(rows.reshape(-1, n), sums.reshape(-1, n)):

@@ -29,7 +29,6 @@ timings; compare them only between runs on one machine.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
 import subprocess
@@ -63,7 +62,6 @@ def parse_args(argv=None):
     parser.add_argument("--rounds", type=int, default=12, help="alternating rounds (default 12)")
     parser.add_argument("--calls", type=int, default=3, help="calls per layer and round; the fastest counts")
     parser.add_argument("--layers", nargs="+", choices=sorted(LAYERS), help="default: every layer")
-    parser.add_argument("--json", type=Path, help="also write every round's times here")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if not args.worker and (args.parent is None or args.change is None):
@@ -193,9 +191,6 @@ def main(argv=None) -> int:
         p, c = statistics.median(parent), statistics.median(change)
         wins = sum(b < a for a, b in zip(parent, change))
         print(f"{layer:{width}} {unit:8} {p:9.3f} {c:9.3f} {100 * (c - p) / p:+6.1f}%  {wins}/{len(parent)}")
-    if args.json:
-        args.json.write_text(json.dumps({"parent": args.parent, "change": args.change, "rounds": args.rounds,
-                                         "calls": args.calls, "times": times}, indent=1) + "\n")
     return 0
 
 
