@@ -102,7 +102,7 @@ def _candidates(
     any score vector is the rule the ranking puts first.
     """
     masks = _term_masks(attributes, schema)
-    shapes = [attrs for depth in range(1, config.max_depth + 1)
+    shapes = [attrs for depth in range(1, min(config.max_depth, len(schema)) + 1)
               for attrs in combinations(schema, depth)]
     total = sum(prod(len(masks[a]) for a in attrs) for attrs in shapes)
     if total > config.max_candidates:

@@ -19,14 +19,12 @@ batch and streaming numbers are never interchangeable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .core import (
     AlignmentError,
-    InputError,
     LabelSequence,
     PopulationDataset,
     ProtocolError,
@@ -355,59 +353,7 @@ def run_population(
     threshold: ThresholdSpec,
     population: PopulationDataset,
 ) -> np.ndarray:
-    """Independent streaming decisions per series; rows follow input order.
-
-    A fixed-window ``ewma_residual`` detector under a ``fixed_value``,
-    ``k_sigma`` or ``feedback_adaptive`` threshold (a population gives no
-    feedback) steps all series at once as array lanes, bit for bit as one
-    series at a time.  Other configs score one series after another.
-    """
-    if (detector_config.method == "ewma_residual" and detector_config.window != "auto"
-            and threshold.kind != "trailing_percentile"):
-        return _lane_decisions(detector_config, threshold, population)
+    """Independent streaming decisions per series; rows follow input order."""
     return np.vstack(
         [score_and_decide("streaming", detector_config, threshold, s)[1] for s in population.series]
     )
-
-
-def _lane_decisions(
-    detector_config: DetectorConfig, threshold: ThresholdSpec, population: PopulationDataset
-) -> np.ndarray:
-    """Streaming decisions of every series, all series stepped together.
-
-    The EWMA detector's and the threshold's recurrences over arrays of one
-    lane per series, with the IEEE operations of the scalar ``update`` steps
-    in their order, so each lane decides as one series at a time does.
-    """
-    values = np.array([s.values for s in population.series])
-    if np.isnan(values).any():
-        raise InputError("detectors need a gap-free series; resample first")
-    a, floor, k = detector_config.alpha, detector_config.scale_floor, threshold.k
-    calibration, keep, sigma = ceil(1.0 / a), 1.0 - a, threshold.kind == "k_sigma"
-    scores = np.zeros(values.shape[::-1])
-    pred = np.zeros(values.shape[::-1], dtype=np.int8)
-    limit = threshold.value  # fixed_value, or feedback_adaptive with no feedback
-    columns = iter(values.T)
-    mean, total, scale = next(columns, None), 0.0, 0.0  # the first points are the warmup
-    mean_score, m2 = 0.0, 0.0  # k_sigma, which has absorbed count - 1 scores at step count
-    with np.errstate(over="ignore", invalid="ignore"):
-        for count, x in enumerate(columns, start=1):
-            resid = x - mean
-            r = np.abs(resid)
-            if count <= calibration:
-                total = total + r
-                scores[count] = score = r / np.maximum(total / count, floor)
-                scale = r if count == 1 else keep * scale + a * r
-            else:
-                scores[count] = score = r / np.maximum(scale, floor)
-                scale = keep * scale + a * r
-            mean = mean + a * resid
-            if sigma:
-                limit = mean_score + k * np.sqrt(m2 / (count - 1)) if count > 2 else np.inf
-                delta = score - mean_score
-                mean_score = mean_score + delta / count
-                m2 = m2 + delta * (score - mean_score)
-            pred[count] = score > limit
-    if not np.isfinite(scores[1:]).all():
-        raise InputError("scores past the warmup must be finite")
-    return np.ascontiguousarray(pred.T)

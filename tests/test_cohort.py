@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tadkit.core import SchemaError, SpecError
+from tadkit.core import INT64_MAX, SchemaError, SpecError
 from tadkit.cohort import (
     CohortMinerConfig,
     Rule,
@@ -310,3 +310,13 @@ def test_timeline_guardrail_fires_only_when_a_step_is_mined():
     matrix[:3, 4] = 1
     with pytest.raises(SpecError, match="guardrail"):
         mine_rules_over_time(matrix, attributes, config, min_support=3)
+
+
+def test_depth_past_the_schema_mines_the_full_schema_depth():
+    rng = np.random.default_rng(19)
+    attributes = _fleet(rng, 12, {"d": ("a", "b"), "r": ("eu", "us", "ap")})
+    matrix = (rng.random((12, 10)) < 0.4).astype(int)
+    deep, full = CohortMinerConfig(max_depth=INT64_MAX), CohortMinerConfig(max_depth=2)
+    # depths past the schema's length add no candidate, so the search stops there
+    assert mine_rules(matrix[:, 0], attributes, deep) == mine_rules(matrix[:, 0], attributes, full)
+    assert mine_rules_over_time(matrix, attributes, deep) == mine_rules_over_time(matrix, attributes, full)

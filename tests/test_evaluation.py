@@ -370,6 +370,8 @@ _LANE_SPECS = [
     ThresholdSpec(kind="k_sigma", k=2.0),
     ThresholdSpec(kind="fixed_value", value=1.5),
     ThresholdSpec(kind="feedback_adaptive", value=2.5),
+    ThresholdSpec(kind="trailing_percentile", reservoir_size=8),  # the reservoir evicts
+    ThresholdSpec(kind="trailing_percentile", horizon=5),
 ]
 
 

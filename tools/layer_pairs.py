@@ -18,12 +18,17 @@ commits resolve too:
   (``trailing_percentile`` over EWMA is aim 1's "decision <= detector" pair);
 - ``DetectorThresholdPolicy.decide`` in an interactive loop, EWMA under
   ``feedback_adaptive``, with feedback on every flagged point;
+- ``run_population`` over a seeded 80-series population, EWMA under
+  k-sigma, per point;
 - one fleet tick: the newest point of 80 series through EWMA and k-sigma,
   as ``perfbench`` times it.
 
-It prints each side's median, the change in percent and the rounds the
-change won, ties counting for neither.  No assertion rests on these
-timings; compare them only between runs on one machine.
+It prints each side's median, the change in percent, the median of the
+per-round change/parent ratios and the rounds the change won, ties counting
+for neither.  A round's ratio compares two calls made moments apart, so it
+follows the host's drift within a run, which the two medians taken apart
+do not.  No assertion rests on these timings; compare them only between
+runs on one machine.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 from time import perf_counter_ns
 
@@ -44,13 +50,16 @@ WINDOW_N = 600  # points for the window detectors, whose update grows with histo
 WINDOW = 32
 FLEET = (80, 1000)  # series, ticks
 
+METHODS = ("spectral_residual", "ewma_residual", "left_discord", "kmeans_window")
+KINDS = ("fixed_value", "trailing_percentile", "k_sigma", "feedback_adaptive")
+
 # name -> (unit, what one call's time is divided by)
 LAYERS = {
     **{f"detectors.{m}.update": ("us/pt", WINDOW_N if m in ("left_discord", "kmeans_window") else N)
-       for m in ("spectral_residual", "ewma_residual", "left_discord", "kmeans_window")},
-    **{f"thresholds.{k}.update_over_ewma": ("us/pt", N)
-       for k in ("fixed_value", "trailing_percentile", "k_sigma", "feedback_adaptive")},
+       for m in METHODS},
+    **{f"thresholds.{k}.update_over_ewma": ("us/pt", N) for k in KINDS},
     "evaluation.hil_decide": ("us/pt", N),
+    "evaluation.run_population": ("us/pt", FLEET[0] * FLEET[1]),
     "fleet.tick_ewma_k_sigma": ("us/tick", FLEET[1]),
 }
 
@@ -74,7 +83,7 @@ class Calls:
 
     def __init__(self):
         import numpy as np
-        from tadkit import detectors, evaluation, thresholds
+        from tadkit import core, detectors, evaluation, thresholds
 
         self.det, self.ev, self.thr = detectors, evaluation, thresholds
         rng = np.random.default_rng(SEED)
@@ -86,8 +95,18 @@ class Calls:
         self.labels = spikes.astype(int).tolist()
         ewma = detectors.make_detector(detectors.DetectorConfig(method="ewma_residual"))
         self.ewma_scores = [ewma.update(x) for x in self.points]
-        self.fleet = (np.sin(2 * np.pi * np.arange(FLEET[1]) / 24)
-                      + 0.3 * rng.standard_normal(FLEET)).T.tolist()
+        fleet = np.sin(2 * np.pi * np.arange(FLEET[1]) / 24) + 0.3 * rng.standard_normal(FLEET)
+        self.fleet = fleet.T.tolist()
+        self.population = core.PopulationDataset(
+            tuple(core.TimeSeries(0, 60, row) for row in fleet), tuple({"g": "x"} for _ in fleet)
+        )
+        self.layers = {
+            **{f"detectors.{m}.update": partial(self.detector, m) for m in METHODS},
+            **{f"thresholds.{k}.update_over_ewma": partial(self.threshold, k) for k in KINDS},
+            "evaluation.hil_decide": self.hil_decide,
+            "evaluation.run_population": self.run_population,
+            "fleet.tick_ewma_k_sigma": self.fleet_tick,
+        }
 
     def detector(self, method: str) -> None:
         config = self.det.DetectorConfig(method=method, window=WINDOW if method != "spectral_residual" else 128)
@@ -111,6 +130,13 @@ class Calls:
             if policy.decide(values[: t + 1], log) == 1:
                 log.record(t, labels[t])
 
+    def run_population(self) -> None:
+        self.ev.run_population(
+            self.det.DetectorConfig(method="ewma_residual"),
+            self.thr.ThresholdSpec(kind="k_sigma", k=3.0),
+            self.population,
+        )
+
     def fleet_tick(self) -> None:
         config = self.det.DetectorConfig(method="ewma_residual")
         spec = self.thr.ThresholdSpec(kind="k_sigma", k=3.0)
@@ -121,13 +147,7 @@ class Calls:
 
     def run(self, layer: str, calls: int) -> int:
         """The fastest of ``calls`` calls of ``layer``, in ns."""
-        group, name, *_ = layer.split(".")
-        fn = {
-            "detectors": lambda: self.detector(name),
-            "thresholds": lambda: self.threshold(name),
-            "evaluation": self.hil_decide,
-            "fleet": self.fleet_tick,
-        }[group]
+        fn = self.layers[layer]
         best = None
         for _ in range(calls):
             start = perf_counter_ns()
@@ -184,13 +204,14 @@ def main(argv=None) -> int:
                 proc.stdin.close()
                 proc.wait(timeout=60)
     width = max(map(len, layers))
-    print(f"{'layer':{width}} {'unit':8} {'parent':>9} {'change':>9} {'delta':>7}  wins")
+    print(f"{'layer':{width}} {'unit':8} {'parent':>9} {'change':>9} {'delta':>7} {'ratio':>6}  wins")
     for layer in layers:
         unit = LAYERS[layer][0]
         parent, change = times[layer]["parent"], times[layer]["change"]
         p, c = statistics.median(parent), statistics.median(change)
+        ratio = statistics.median(b / a for a, b in zip(parent, change))
         wins = sum(b < a for a, b in zip(parent, change))
-        print(f"{layer:{width}} {unit:8} {p:9.3f} {c:9.3f} {100 * (c - p) / p:+6.1f}%  {wins}/{len(parent)}")
+        print(f"{layer:{width}} {unit:8} {p:9.3f} {c:9.3f} {100 * (c - p) / p:+6.1f}% {ratio:6.3f}  {wins}/{len(parent)}")
     return 0
 
 
