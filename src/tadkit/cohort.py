@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import INT64_MAX, Range, SchemaError, SpecError, check_fields, declared
+from .core import INT64_MAX, Range, SchemaError, SpecError, check_fields, check_schema, declared
 
 __all__ = [
     "Rule",
@@ -66,18 +66,6 @@ class CohortMinerConfig:
     max_candidates: int = declared(1_000_000, Range(1, INT64_MAX))
 
     __post_init__ = check_fields
-
-
-def _check_schema(attributes: Sequence[Mapping[str, str]]) -> tuple[str, ...]:
-    if not attributes:
-        raise SpecError("need at least one series")
-    schema = tuple(sorted(attributes[0]))
-    for i, row in enumerate(attributes):
-        if tuple(sorted(row)) != schema:
-            raise SchemaError(
-                f"series {i} has attributes {sorted(row)}, expected {list(schema)}"
-            )
-    return schema
 
 
 def _term_masks(
@@ -150,7 +138,7 @@ def mine_rules(
     ascending (generality preference), then lexicographic.
     """
     config = config or CohortMinerConfig()
-    schema = _check_schema(attributes)
+    schema = check_schema(attributes)
     anom = np.asarray(anomalous).astype(bool)
     if len(anom) != len(attributes):
         raise SchemaError(
@@ -202,7 +190,7 @@ def mine_rules_over_time(
         return ()
     if matrix.ndim != 2:
         raise SpecError(f"anomaly matrix must be 2-D, got shape {matrix.shape}")
-    schema = _check_schema(attributes)
+    schema = check_schema(attributes)
     if matrix.shape[0] != len(attributes):
         raise SchemaError(
             f"matrix has {matrix.shape[0]} rows but {len(attributes)} attribute rows"

@@ -165,24 +165,49 @@ def check_fields(obj) -> None:
 
 
 def as_label_array(labels: LabelSequence | np.ndarray, n: int) -> np.ndarray:
-    """``labels`` as an int8 array, refusing a length other than ``n``."""
-    arr = labels.labels if isinstance(labels, LabelSequence) else np.asarray(labels)
+    """``labels`` as a :class:`LabelSequence`'s read-only int8 array, refusing a length other than ``n``."""
+    arr = (labels if isinstance(labels, LabelSequence) else LabelSequence(labels)).labels
     if len(arr) != n:
         raise AlignmentError(f"labels length {len(arr)} != series length {n}")
-    return arr.astype(np.int8)
+    return arr
+
+
+def check_schema(attributes: Sequence[Mapping[str, str]]) -> tuple[str, ...]:
+    """The sorted attribute names that every row of ``attributes`` must share."""
+    if not attributes:
+        raise SpecError("need at least one series")
+    schema = tuple(sorted(attributes[0]))
+    for i, row in enumerate(attributes):
+        if tuple(sorted(row)) != schema:
+            raise SchemaError(f"series {i} has attributes {sorted(row)}, expected {list(schema)}")
+    return schema
+
+
+def frozen(values, dtype, what: str) -> np.ndarray:
+    """A read-only one-dimensional copy of ``values`` as ``dtype``; other shapes are refused."""
+    arr = np.array(values, dtype=dtype)
+    if arr.ndim != 1:
+        raise InputError(f"{what} must be one-dimensional, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
 
 
 def _readonly_float_array(values, *, allow_nan: bool, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InputError(f"{what} must be one-dimensional, got shape {arr.shape}")
+    arr = frozen(values, np.float64, what)
     if np.isinf(arr).any():
         raise InputError(f"{what} may not contain infinities")
     if not allow_nan and np.isnan(arr).any():
         raise InputError(f"{what} may not contain NaN")
-    arr = arr.copy()
-    arr.flags.writeable = False
     return arr
+
+
+def _equal(self, other) -> bool:
+    """Field-wise equality of two containers of one type; arrays match NaN for NaN."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+               for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -209,17 +234,7 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return (
-            self.start == other.start
-            and self.interval == other.interval
-            and len(self) == len(other)
-            and bool(np.array_equal(self.values, other.values, equal_nan=True))
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+    __eq__ = _equal
 
     @property
     def end(self) -> int:
@@ -253,23 +268,14 @@ class LabelSequence:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.labels)
-        if arr.ndim != 1:
-            raise InputError(f"labels must be one-dimensional, got shape {arr.shape}")
-        if arr.size and not ((arr == 0) | (arr == 1)).all():
+        if arr.size and not ((arr == 0) | (arr == 1)).all():  # before the cast: 0.5 would become 0
             raise InputError("labels must be 0 or 1")
-        arr = arr.astype(np.int8).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "labels", arr)
+        object.__setattr__(self, "labels", frozen(arr, np.int8, "labels"))
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabelSequence):
-            return NotImplemented
-        return bool(np.array_equal(self.labels, other.labels))
-
-    __hash__ = None  # type: ignore[assignment]
+    __eq__ = _equal
 
     @property
     def positive_count(self) -> int:
@@ -291,29 +297,19 @@ class ScoreSequence:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        arr = np.asarray(self.scores, dtype=np.float64).copy()
-        if arr.ndim != 1:
-            raise InputError(f"scores must be one-dimensional, got shape {arr.shape}")
+        arr = frozen(self.scores, np.float64, "scores")
         if self.warmup > arr.shape[0]:
             raise SpecError(f"warmup {self.warmup} out of range for {arr.shape[0]} scores")
         if not np.isnan(arr[: self.warmup]).all():
             raise InputError("warmup entries must carry the NaN sentinel")
         if not np.isfinite(arr[self.warmup :]).all():
             raise InputError("scores past the warmup must be finite")
-        arr.flags.writeable = False
         object.__setattr__(self, "scores", arr)
 
     def __len__(self) -> int:
         return int(self.scores.shape[0])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScoreSequence):
-            return NotImplemented
-        return self.warmup == other.warmup and bool(
-            np.array_equal(self.scores, other.scores, equal_nan=True)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+    __eq__ = _equal
 
     @property
     def valid(self) -> np.ndarray:
@@ -334,13 +330,11 @@ class EventStream:
 
     def __post_init__(self) -> None:
         ts = np.asarray(self.timestamps)
-        if ts.ndim != 1:
-            raise InputError(f"timestamps must be one-dimensional, got shape {ts.shape}")
-        if ts.size and not np.issubdtype(ts.dtype, np.integer):
+        if ts.size and not np.issubdtype(ts.dtype, np.integer):  # before the cast: 1.5 would become 1
             ts_float = np.asarray(ts, dtype=np.float64)
             if not np.all(ts_float == np.round(ts_float)):
                 raise InputError("event timestamps must be integer epoch seconds")
-        ts = ts.astype(np.int64).copy()
+        ts = frozen(ts, np.int64, "timestamps")
         vals = _readonly_float_array(self.values, allow_nan=False, what="event values")
         if ts.shape[0] != vals.shape[0]:
             raise InputError(
@@ -349,7 +343,6 @@ class EventStream:
         if ts.size > 1 and np.any(np.diff(ts) < 0):
             bad = int(np.argmax(np.diff(ts) < 0)) + 1
             raise OrderingError(f"event timestamps decrease at position {bad}")
-        ts.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "values", vals)
 
@@ -359,15 +352,7 @@ class EventStream:
     def __iter__(self):
         return zip(self.timestamps.tolist(), self.values.tolist())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EventStream):
-            return NotImplemented
-        return bool(
-            np.array_equal(self.timestamps, other.timestamps)
-            and np.array_equal(self.values, other.values)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+    __eq__ = _equal
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "EventStream":
@@ -411,12 +396,7 @@ class PopulationDataset:
                 f"{len(series)} series but {len(attributes)} attribute vectors"
             )
         _check_same_grid(series, "population members")
-        schema = frozenset(attributes[0])
-        for i, attrs in enumerate(attributes):
-            if frozenset(attrs) != schema:
-                raise SchemaError(
-                    f"attribute vector {i} keys {sorted(attrs)} do not match schema {sorted(schema)}"
-                )
+        check_schema(attributes)
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "attributes", attributes)
 

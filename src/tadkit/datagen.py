@@ -15,8 +15,7 @@ fixed probability and returns the replacement mask as labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -18,7 +18,7 @@ batch and streaming numbers are never interchangeable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np

@@ -33,7 +33,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import INT64_MAX, DegenerateScaleError, InputError, Range, SpecError, TimeSeries, refusal
+from .core import INT64_MAX, DegenerateScaleError, InputError, Range, SpecError, TimeSeries
+from .core import _equal, frozen, refusal
 from .datagen import PeriodicGeneratorConfig, generate_periodic
 
 __all__ = [
@@ -73,9 +74,9 @@ class AcfProfile:
     max_lag: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", frozen(self.values, np.float64, "ACF values"))
+
+    __eq__ = _equal
 
 
 @dataclass(frozen=True)
@@ -322,6 +323,10 @@ def detect_period_autoperiod(
     — a genuine hill — wins, refined to the ACF argmax inside the range.
     """
     t0 = time.perf_counter()
+    for problem in (refusal("n_permutations", n_permutations, int, Range(1, INT64_MAX), None),
+                    refusal("percentile", percentile, float, Range(0, 100), None)):
+        if problem is not None:
+            raise SpecError(problem)
     x = series.values
     n = len(x)
     if np.isnan(x).any():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tadkit.cli import _BINDINGS
+from tadkit.cli import _BINDINGS, write_series_csv
 from tadkit.core import (
     MISSING,
     AlignmentError,
@@ -19,12 +19,16 @@ from tadkit.core import (
     SpecError,
     TimeSeries,
     align,
+    as_label_array,
     field_specs,
     is_missing,
     slice_prefix,
 )
 from tadkit.detectors import DetectorConfig
+from tadkit.evaluation import AlwaysFlagPolicy, evaluate_batch, evaluate_streaming, run_hil
+from tadkit.periodicity import AcfProfile
 from tadkit.resample import ResampleSpec
+from tadkit.thresholds import ThresholdSpec
 
 
 def test_time_series_basics():
@@ -114,6 +118,82 @@ def test_label_sequence_accepts_exactly_zero_and_one(labels, valid):
     else:
         with pytest.raises(InputError):
             LabelSequence(labels)
+
+
+# Each container's fields, then (field, value) pairs that each change one field.
+# A ScoreSequence's warmup is fixed by its NaN sentinels, so only its scores can
+# differ alone.
+_CONTAINERS = [
+    (TimeSeries, {"start": 60, "interval": 30, "values": [1.0, MISSING, 3.0]},
+     [("start", 0), ("interval", 60), ("values", [1.0, MISSING, 4.0]), ("values", [1.0, MISSING])]),
+    (LabelSequence, {"labels": [0, 1, 1]}, [("labels", [0, 1, 0]), ("labels", [0, 1])]),
+    (ScoreSequence, {"scores": [MISSING, 2.0, 0.5], "warmup": 1},
+     [("scores", [MISSING, 2.0, 0.25]), ("scores", [MISSING, 2.0])]),
+    (EventStream, {"timestamps": [0, 5, 5], "values": [1.0, 2.0, 3.0]},
+     [("timestamps", [0, 5, 6]), ("values", [1.0, 2.0, 3.5])]),
+]
+
+
+@pytest.mark.parametrize("cls, fields, changes", _CONTAINERS, ids=[c.__name__ for c, *_ in _CONTAINERS])
+def test_container_equals_a_rebuilt_copy_and_is_unhashable(cls, fields, changes):
+    built = cls(**fields)
+    assert built == cls(**fields) and not built != cls(**fields)
+    for name, value in changes:
+        assert built != cls(**{**fields, name: value}), (name, value)
+    for other in [c(**f) for c, f, _ in _CONTAINERS if c is not cls]:
+        assert built != other and other != built
+    with pytest.raises(TypeError):
+        hash(built)
+
+
+def test_acf_profiles_compare_field_by_field():
+    profile = AcfProfile([1.0, 0.5, MISSING], 2)
+    assert profile == AcfProfile([1.0, 0.5, MISSING], 2)
+    assert profile != AcfProfile([1.0, 0.5, 0.25], 2) and profile != AcfProfile([1.0, 0.5, MISSING], 1)
+    assert profile != TimeSeries(0, 1, [1.0, 0.5, MISSING])
+    with pytest.raises(TypeError):
+        hash(profile)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda v: TimeSeries(0, 1, v), "values"),
+    (lambda v: LabelSequence(v), "labels"),
+    (lambda v: ScoreSequence(v), "scores"),
+    (lambda v: EventStream(np.arange(len(v)), v), "values"),
+    (lambda v: EventStream(v, np.ones(len(v))), "timestamps"),
+    (lambda v: AcfProfile(v, 1), "values"),
+], ids=["series", "labels", "scores", "event_values", "event_timestamps", "acf"])
+def test_container_arrays_are_read_only_one_dimensional_copies(build, name):
+    source = np.array([0, 1, 1])
+    held = getattr(build(source), name)
+    source[0] = 1
+    assert held.tolist() == [0, 1, 1] and not held.flags.writeable
+    with pytest.raises(ValueError):
+        held[0] = 1
+    with pytest.raises(InputError, match="one-dimensional"):
+        build(np.ones((2, 2)))
+
+
+_LABEL_TABLE = test_label_sequence_accepts_exactly_zero_and_one.pytestmark[0]
+
+
+@pytest.mark.parametrize(*_LABEL_TABLE.args, **_LABEL_TABLE.kwargs)
+def test_raw_label_arrays_obey_the_label_sequence_rule(labels, valid, tmp_path):
+    series = TimeSeries(0, 1, np.sin(np.arange(len(labels)) / 5))
+    detector, threshold = DetectorConfig(method="ewma_residual", window=2), ThresholdSpec(kind="fixed_value")
+    calls = {
+        "as_label_array": lambda lab: as_label_array(lab, len(series)).tolist(),
+        "evaluate_batch": lambda lab: evaluate_batch(detector, threshold, series, lab),
+        "evaluate_streaming": lambda lab: evaluate_streaming(detector, threshold, series, lab),
+        "run_hil": lambda lab: run_hil(AlwaysFlagPolicy(), series, lab)[0],
+        "write_series_csv": lambda lab: write_series_csv(tmp_path / "s.csv", series, lab).read_text(),
+    }
+    for name, call in calls.items():
+        if valid:
+            assert call(labels) == call(LabelSequence(labels)), name
+        else:
+            with pytest.raises(InputError, match="0 or 1"):
+                call(labels)
 
 
 def test_score_sequence_warmup_discipline():

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import tadkit
 
@@ -48,3 +50,21 @@ def test_every_package_name_resolves():
 def test_no_earlier_name_is_lost():
     assert len(_EARLIER_NAMES) == 70
     assert set(_EARLIER_NAMES) <= set(tadkit.__all__)
+
+
+def _unused_imports(path):
+    """The names a module's top-level imports bind that nothing in the module reads."""
+    tree = ast.parse(path.read_text())
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_every_top_level_import_is_used():
+    package = Path(tadkit.__file__).parent
+    unused = {path.name: names for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py" and (names := _unused_imports(path))}
+    assert unused == {}

@@ -167,6 +167,29 @@ def test_autoperiod_is_deterministic_given_seed():
     assert a.period == b.period
 
 
+@pytest.mark.parametrize("arguments, message", [
+    ({"n_permutations": 0}, "n_permutations must be an integer in [1, int64 max], got 0"),
+    ({"n_permutations": -3}, "n_permutations must be an integer"),
+    ({"n_permutations": 2.0}, "n_permutations must be an integer"),
+    ({"n_permutations": True}, "n_permutations must be an integer"),
+    ({"percentile": 150}, "percentile must be a finite number in [0, 100], got 150"),
+    ({"percentile": -0.5}, "percentile must be a finite number in [0, 100]"),
+    ({"percentile": float("nan")}, "percentile must be a finite number in [0, 100]"),
+    ({"percentile": "99"}, "percentile must be a finite number in [0, 100]"),
+], ids=["permutations_zero", "permutations_negative", "permutations_float", "permutations_bool",
+        "percentile_150", "percentile_negative", "percentile_nan", "percentile_string"])
+def test_autoperiod_refuses_bad_permutation_arguments(arguments, message):
+    with pytest.raises(SpecError) as refused:
+        detect_period_autoperiod(_sine(200, 20), **arguments)
+    assert str(refused.value).startswith(message)
+
+
+def test_autoperiod_takes_the_ends_of_its_argument_ranges():
+    series = _sine(200, 20)
+    for arguments in ({"n_permutations": 1}, {"percentile": 0}, {"percentile": 100.0}):
+        assert detect_period_autoperiod(series, **arguments).method == "autoperiod"
+
+
 def test_elapsed_is_recorded():
     estimate = detect_period_peaks(_sine(400, 40))
     assert estimate.elapsed >= 0.0
