@@ -180,9 +180,11 @@ class _SaliencyKernel:
 
     Each window is extended by extrapolated pad points.  Its spectral
     residual is the log-amplitude spectrum minus its moving average
-    (edge-normalized, so a flat log spectrum has residual exactly zero);
-    inverting with the original phase turns residual energy back into the
-    saliency of each original point.  Every step indexes the last axis only:
+    (edge-normalized, so a flat log spectrum has residual exactly zero).
+    Each bin becomes exp(residual)·z/|z|, which is exp(residual + i·phase)
+    without taking the phase; an exactly-zero bin takes arctan2's phasor,
+    (copysign(1, z.real), 0).  The inverse FFT's magnitude is the saliency
+    of each original point.  Every step indexes the last axis only:
     a block shares one FFT, one inverse FFT and one pass of each elementwise
     step, yet each row comes out bit for bit as if scored alone, so ``update``
     (one window), ``run_streaming`` (blocks) and ``run_batch`` agree.
@@ -211,16 +213,18 @@ class _SaliencyKernel:
             # a scalar, whose arithmetic skips the array machinery (so sal.T[-1])
             ext[..., n:] = (ext.T[n - 1 - m] + np.add.reduce(grads, axis=-1) / m * m)[..., None]
         z = np.fft.fft(ext, axis=-1)
-        log_amp = np.abs(z)
-        np.log(np.maximum(log_amp, _LOG_EPS, out=log_amp), out=log_amp)
-        # z becomes residual + i·phase.  The phase goes through ext, free now:
-        # into strided z.imag, arctan2 runs another loop, with other bits.
-        real = z.real
-        phase = np.arctan2(z.imag, real, out=ext)
-        np.divide(_moving_sums(log_amp, self._ma_kernel), self._ma_denominator, out=real)
-        np.subtract(log_amp, real, out=real)
-        z.imag = phase
-        return np.abs(np.fft.ifft(np.exp(z, out=z), axis=-1), out=log_amp)[..., :n]
+        amp = np.abs(z)
+        # the residual goes through ext, free now
+        residual = np.log(np.maximum(amp, _LOG_EPS, out=ext), out=ext)
+        residual -= _moving_sums(residual, self._ma_kernel) / self._ma_denominator
+        if not amp.all():
+            # an exactly-zero bin keeps the phasor arctan2 gives it
+            zero = amp == 0.0
+            z[zero] = np.copysign(1.0, z.real[zero])
+            amp[zero] = 1.0
+        # exp(residual + i·phase) is exp(residual)·z/|z|
+        np.multiply(z, np.divide(np.exp(residual, out=residual), amp, out=residual), out=z)
+        return np.abs(np.fft.ifft(z, axis=-1), out=amp)[..., :n]
 
     def newest_scores(self, windows: np.ndarray) -> np.ndarray:
         """Relative saliency of the newest (last) point of each window, floored at 0; NaN stays NaN."""
@@ -255,13 +259,17 @@ def _moving_sums(rows: np.ndarray, ones: np.ndarray) -> np.ndarray:
 
 
 class _SpectralResidualDetector(StreamingDetector):
-    """Holds 2·w values: when the buffer fills, its last w - 1 move to the front."""
+    """Holds 2·w values: when the buffer fills, its last w - 1 move to the front.
+
+    The first w - 1 points wait in a list; the buffer and the kernel are built
+    with the w-th, so a window longer than the stream allocates nothing of its size.
+    """
 
     def __init__(self, config: DetectorConfig):
         super().__init__(config)
-        self._w = w = int(config.window)
-        self._kernel = _SaliencyKernel(w, config.sr_ma_width, _SR_PAD_POINTS)
-        self._buf = np.empty(2 * w, dtype=np.float64)
+        self._w = int(config.window)
+        self._kernel: _SaliencyKernel | None = None
+        self._buf: list[float] | np.ndarray = []
         self._n = 0
 
     @property
@@ -271,12 +279,18 @@ class _SpectralResidualDetector(StreamingDetector):
     def _score(self, x: float) -> float:
         w, n = self._w, self._n
         if n == len(self._buf):
-            self._buf[: w - 1] = self._buf[n - w + 1 :]
-            n = w - 1
+            if self.count < w:
+                self._buf.append(x)
+                self._n = n + 1
+                return MISSING
+            if self._kernel is None:
+                self._kernel = _SaliencyKernel(w, self.config.sr_ma_width, _SR_PAD_POINTS)
+                self._buf = np.concatenate([self._buf, np.empty(w + 1)])
+            else:
+                self._buf[: w - 1] = self._buf[n - w + 1 :]
+                n = w - 1
         self._buf[n] = x
         self._n = n = n + 1
-        if self.count < w:
-            return MISSING
         return float(self._kernel.newest_scores(self._buf[n - w : n]))
 
 

@@ -1504,6 +1504,17 @@ def test_sizes_past_int64_give_one_json_error_line(runner, tmp_path, flags):
     assert payload["error"] == "SpecError" and "int64 max" in payload["message"]
 
 
+@pytest.mark.parametrize("task, warmup_key", [("detect", "warmup"), ("hil", "warmup_excluded")])
+def test_a_spectral_residual_window_longer_than_the_series_scores_all_warmup(runner, tmp_path, task, warmup_key):
+    # the streaming detector builds its window-sized buffer and kernel only at the w-th point
+    out = tmp_path / "out"
+    result = runner.invoke(main, [task, "--input", str(_make_input(tmp_path)), "--method", "spectral_residual",
+                                  "--window", str(10**18), "--out", str(out)])
+    assert result.exit_code == 0, repr(result.exception)
+    (record,) = [r for r in _read_report(out) if r["record"] == task]
+    assert record[warmup_key] == 240 and record["alert_count"] == 0
+
+
 def test_seeds_have_no_upper_bound(runner, tmp_path):
     out = tmp_path / "out"
     result = runner.invoke(main, ["datagen", "--n-series", "1", "--length", "60", "--seed", str(10**20),

@@ -115,8 +115,8 @@ def test_sr_batch_finds_the_spike_too():
     assert int(np.argmax(out.scores)) == spike_at
 
 
-def oracle_saliency(values, ma_width, pad_points):
-    """The one-window-at-a-time saliency the row kernel must reproduce bit for bit."""
+def _extended_spectrum(values, ma_width, pad_points):
+    """The window extended by its pad points, that extension's spectrum and its spectral residual."""
     n = len(values)
     m = min(pad_points, n - 2)
     if m > 0:
@@ -126,22 +126,51 @@ def oracle_saliency(values, ma_width, pad_points):
     else:
         ext = values
     spectrum = np.fft.fft(ext)
-    amplitude = np.abs(spectrum)
-    log_amp = np.log(np.maximum(amplitude, 1e-12))
+    log_amp = np.log(np.maximum(np.abs(spectrum), 1e-12))
     kernel = np.ones(ma_width)
     ma = np.convolve(log_amp, kernel, mode="same") / np.convolve(
         np.ones(len(ext)), kernel, mode="same"
     )
-    residual = log_amp - ma
-    phase = np.angle(spectrum)
-    sal = np.abs(np.fft.ifft(np.exp(residual + 1j * phase)))
-    return sal[:n]
+    return spectrum, log_amp - ma
+
+
+def oracle_saliency(values, ma_width, pad_points):
+    """The one-window-at-a-time saliency the row kernel must reproduce bit for bit.
+
+    Each bin is exp(residual)·z/|z|; an exactly-zero bin takes arctan2's
+    phasor, (copysign(1, z.real), 0).
+    """
+    spectrum, residual = _extended_spectrum(values, ma_width, pad_points)
+    zero = spectrum == 0
+    phasor = np.where(zero, np.copysign(1.0, spectrum.real), spectrum)
+    amplitude = np.where(zero, 1.0, np.abs(spectrum))
+    sal = np.abs(np.fft.ifft(phasor * (np.exp(residual) / amplitude)))
+    return sal[: len(values)]
+
+
+def angle_form_saliency(values, ma_width, pad_points):
+    """The saliency as exp(residual + i·phase), the phase taken with ``np.angle``."""
+    spectrum, residual = _extended_spectrum(values, ma_width, pad_points)
+    sal = np.abs(np.fft.ifft(np.exp(residual + 1j * np.angle(spectrum))))
+    return sal[: len(values)]
+
+
+def newest_score(sal):
+    mean_sal = float(sal.mean())
+    return max(0.0, (float(sal[-1]) - mean_sal) / (mean_sal + 1e-8))
 
 
 def oracle_newest_score(window, ma_width, pad_points):
-    sal = oracle_saliency(window, ma_width, pad_points)
-    mean_sal = float(sal.mean())
-    return max(0.0, (float(sal[-1]) - mean_sal) / (mean_sal + 1e-8))
+    return newest_score(oracle_saliency(window, ma_width, pad_points))
+
+
+def _kernel_rows(ma_width, pad_points, w):
+    rng = np.random.default_rng(1000 * w + 10 * pad_points + ma_width)
+    rows = rng.standard_normal((11, w)) * rng.choice([1e-3, 1.0, 1e4], size=(11, 1))
+    rows[3] = 2.5                                   # flat: residual exactly zero
+    rows[4, -1] += 50.0                             # spike on the newest point
+    rows[5] = np.round(rows[5])                     # ties and exact zeros
+    return rows
 
 
 @pytest.mark.parametrize("w", [2, 3, 8, 128])
@@ -149,11 +178,7 @@ def oracle_newest_score(window, ma_width, pad_points):
 @pytest.mark.parametrize("ma_width", [1, 2, 3, 4, 7, 16, 17])
 def test_sr_row_kernel_equals_the_one_window_oracle(ma_width, pad_points, w):
     # 16 and 17: the moving average's dot products take OpenBLAS's SIMD path
-    rng = np.random.default_rng(1000 * w + 10 * pad_points + ma_width)
-    rows = rng.standard_normal((11, w)) * rng.choice([1e-3, 1.0, 1e4], size=(11, 1))
-    rows[3] = 2.5                                   # flat: residual exactly zero
-    rows[4, -1] += 50.0                             # spike on the newest point
-    rows[5] = np.round(rows[5])                     # ties and exact zeros
+    rows = _kernel_rows(ma_width, pad_points, w)
     try:
         expected = np.array([oracle_saliency(row, ma_width, pad_points) for row in rows])
     except ValueError:
@@ -173,6 +198,37 @@ def test_sr_row_kernel_equals_the_one_window_oracle(ma_width, pad_points, w):
         # one window as a 1-D array, the way ``update`` scores it
         assert kernel(row).tobytes() == want.tobytes()
         assert kernel.newest_scores(row).tobytes() == np.float64(want_score).tobytes()
+
+
+@pytest.mark.parametrize("w", [2, 3, 8, 128])
+@pytest.mark.parametrize("pad_points", [0, 1, 5])
+@pytest.mark.parametrize("ma_width", [1, 2, 3, 4, 7, 16, 17])
+def test_sr_phasor_form_moves_the_angle_form_by_rounding_only(ma_width, pad_points, w):
+    # exp(residual)·z/|z| in place of exp(residual + i·angle(z)) changes bits, within these bounds
+    rows = _kernel_rows(ma_width, pad_points, w)
+    try:
+        kernel = _SaliencyKernel(w, ma_width, pad_points, rows=len(rows))
+    except SpecError:
+        return
+    old = np.array([angle_form_saliency(row, ma_width, pad_points) for row in rows])
+    assert (np.abs(kernel(rows) - old) <= 1e-12 * np.abs(old).max(axis=1, keepdims=True)).all()
+    old_scores = np.array([newest_score(sal) for sal in old])
+    assert (np.abs(kernel.newest_scores(rows) - old_scores) <= 1e-12).all()
+
+
+def test_sr_an_exactly_zero_bin_takes_the_arctan2_phasor():
+    # all -0.0: every bin is exactly zero and the DC bin's real part is -0.0,
+    # whose arctan2 phase is pi; then +0.0 zeros, a zero DC bin, and flat
+    windows = np.array([np.full(8, -0.0), np.zeros(8), np.tile([1.0, -1.0], 4), np.full(8, 2.5)])
+    assert np.signbit(np.fft.fft(windows[0])[0].real)
+    kernel = _SaliencyKernel(8, 3, 0, rows=len(windows))
+    for row, sal in zip(windows, kernel(windows)):
+        spectrum, residual = _extended_spectrum(row, 3, 0)
+        assert (spectrum == 0).any()
+        phasor = np.exp(1j * np.arctan2(spectrum.imag, spectrum.real))
+        want = np.abs(np.fft.ifft(np.exp(residual) * phasor))
+        assert np.abs(sal - want).max() <= 1e-15 * want.max()
+        assert kernel(row).tobytes() == sal.tobytes() == oracle_saliency(row, 3, 0).tobytes()
 
 
 @pytest.mark.parametrize("width", range(1, 18))

@@ -14,6 +14,8 @@ calls of that layer.  Layers go through public names only, so older
 commits resolve too:
 
 - each detector's ``update`` over one seeded series;
+- spectral residual's ``run_streaming`` at windows 32 and 128, and its
+  ``run_batch``, over the same series;
 - each threshold kind's ``update`` over the EWMA scores of that series
   (``trailing_percentile`` over EWMA is aim 1's "decision <= detector" pair);
 - ``DetectorThresholdPolicy.decide`` in an interactive loop, EWMA under
@@ -48,6 +50,7 @@ SEED = 20261019
 N = 2000  # points per series
 WINDOW_N = 600  # points for the window detectors, whose update grows with history
 WINDOW = 32
+SR_WINDOWS = (32, 128)  # spectral residual's run_streaming windows
 FLEET = (80, 1000)  # series, ticks
 
 METHODS = ("spectral_residual", "ewma_residual", "left_discord", "kmeans_window")
@@ -57,6 +60,8 @@ KINDS = ("fixed_value", "trailing_percentile", "k_sigma", "feedback_adaptive")
 LAYERS = {
     **{f"detectors.{m}.update": ("us/pt", WINDOW_N if m in ("left_discord", "kmeans_window") else N)
        for m in METHODS},
+    **{f"detectors.spectral_residual.run_streaming_w{w}": ("us/pt", N) for w in SR_WINDOWS},
+    "detectors.spectral_residual.run_batch": ("us/pt", N),
     **{f"thresholds.{k}.update_over_ewma": ("us/pt", N) for k in KINDS},
     "evaluation.hil_decide": ("us/pt", N),
     "evaluation.run_population": ("us/pt", FLEET[0] * FLEET[1]),
@@ -92,6 +97,7 @@ class Calls:
         spikes = rng.random(N) < 0.01
         values[spikes] += 4.0
         self.values, self.points = values, values.tolist()
+        self.series = core.TimeSeries(0, 60, values)
         self.labels = spikes.astype(int).tolist()
         ewma = detectors.make_detector(detectors.DetectorConfig(method="ewma_residual"))
         self.ewma_scores = [ewma.update(x) for x in self.points]
@@ -102,6 +108,9 @@ class Calls:
         )
         self.layers = {
             **{f"detectors.{m}.update": partial(self.detector, m) for m in METHODS},
+            **{f"detectors.spectral_residual.run_streaming_w{w}": partial(self.sr_run, detectors.run_streaming, w)
+               for w in SR_WINDOWS},
+            "detectors.spectral_residual.run_batch": partial(self.sr_run, detectors.run_batch, 128),
             **{f"thresholds.{k}.update_over_ewma": partial(self.threshold, k) for k in KINDS},
             "evaluation.hil_decide": self.hil_decide,
             "evaluation.run_population": self.run_population,
@@ -114,6 +123,9 @@ class Calls:
         n = N if method in ("spectral_residual", "ewma_residual") else WINDOW_N
         for x in self.points[:n]:
             update(x)
+
+    def sr_run(self, run, window: int) -> None:
+        run(self.det.DetectorConfig(method="spectral_residual", window=window), self.series)
 
     def threshold(self, kind: str) -> None:
         update = self.thr.Thresholder(self.thr.ThresholdSpec(kind=kind, value=2.5)).update

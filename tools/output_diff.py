@@ -14,8 +14,11 @@ the reports match.  Every report is compared record by record after the
 keys in ``TIMING_FIELDS`` are dropped, and every CSV byte for byte, except
 the wall-clock ``mean_runtime_s`` column of the period table: that file is
 compared cell by cell without the column.  A difference names the report
-keys or the CSV columns that differ.  The exit status is 0 when every
-output is identical and 1 otherwise.
+keys or the CSV columns that differ.  Where every differing value of a key
+or column is a finite number on both sides, the name carries the largest
+absolute difference and the largest relative one (to the larger magnitude of
+the pair), as in ``max_score (abs 3.6e-15, rel 1.2e-11)``.  The exit status
+is 0 when every output is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -149,6 +152,25 @@ def dumped(record: dict, key: str) -> str:
     return json.dumps([key in record, record.get(key)], sort_keys=True)
 
 
+def sized(name: str, pairs: list[tuple]) -> str:
+    """``name``, with the largest absolute and relative difference of ``pairs``
+    when every pair is two finite numbers."""
+    try:
+        ours, theirs = (np.array([float(v) for v in side]) for side in zip(*pairs))
+    except (TypeError, ValueError):
+        return name
+    if not (np.isfinite(ours).all() and np.isfinite(theirs).all()):
+        return name
+    diff = np.abs(theirs - ours)
+    rel = diff / np.maximum(np.abs(ours), np.abs(theirs))
+    return f"{name} (abs {diff.max():.2g}, rel {rel.max():.2g})"
+
+
+def number(value) -> float | None:
+    """A report value that is a number, else None (booleans are not numbers here)."""
+    return value if isinstance(value, (int, float)) and not isinstance(value, bool) else None
+
+
 def compare(path: Path, other: Path) -> str | None:
     """None when the two files match, else what differs."""
     if path.suffix == ".jsonl":
@@ -156,8 +178,12 @@ def compare(path: Path, other: Path) -> str | None:
                         for p in (path, other))
         if len(ours) != len(theirs):
             return "record counts differ"
-        keys = sorted({key for a, b in zip(ours, theirs) for key in a.keys() | b.keys()
-                       if dumped(a, key) != dumped(b, key)})
+        pairs = {}
+        for a, b in zip(ours, theirs):
+            for key in a.keys() | b.keys():
+                if dumped(a, key) != dumped(b, key):
+                    pairs.setdefault(key, []).append((number(a.get(key)), number(b.get(key))))
+        keys = [sized(key, pairs[key]) for key in sorted(pairs)]
         return f"records differ outside TIMING_FIELDS, in {keys}" if keys else None
     ours, theirs = path.read_bytes(), other.read_bytes()
     if ours == theirs:
@@ -170,7 +196,12 @@ def compare(path: Path, other: Path) -> str | None:
     ours, theirs = (list(csv.reader(io.StringIO(data.decode(), newline=""))) for data in (ours, theirs))
     if len(ours) != len(theirs) or ours[:1] != theirs[:1]:
         return "bytes differ"
-    columns = [name for j, name in enumerate(ours[0]) if any(a[j:j + 1] != b[j:j + 1] for a, b in zip(ours, theirs))]
+    columns = []
+    for j, name in enumerate(ours[0]):
+        pairs = [(a[j] if j < len(a) else None, b[j] if j < len(b) else None)
+                 for a, b in zip(ours, theirs) if a[j:j + 1] != b[j:j + 1]]
+        if pairs:
+            columns.append(sized(name, pairs))
     return f"bytes differ, in columns {columns}"
 
 
