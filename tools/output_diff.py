@@ -17,7 +17,7 @@ compared cell by cell without the column.  A difference names the report
 keys or the CSV columns that differ.  Where every differing value of a key
 or column is a finite number on both sides, the name carries the largest
 absolute difference and the largest relative one (to the larger magnitude of
-the pair), as in ``max_score (abs 3.6e-15, rel 1.2e-11)``.  The exit status
+the pair), as in ``score (abs 7.1e-15, rel 6e-13)``.  The exit status
 is 0 when every output is identical and 1 otherwise.
 """
 
