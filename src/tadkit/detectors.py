@@ -66,7 +66,8 @@ _SAL_EPS = 1e-8
 _ZNORM_EPS = 1e-12
 # Windows ``run_streaming`` scores per spectral-residual kernel call: enough
 # to amortize the per-call overhead, few enough that memory stays flat.
-_SR_BLOCK_ROWS = 32
+# Of 32, 48, 64 and 96 rows, 96 ran fastest at windows 32 and 128.
+_SR_BLOCK_ROWS = 96
 # Extrapolated points appended to each spectral-residual window.
 _SR_PAD_POINTS = 5
 # Terms from which OpenBLAS's x86-64 ddot, behind np.convolve, adds in SIMD lanes.
@@ -188,35 +189,67 @@ class _SaliencyKernel:
     a block shares one FFT, one inverse FFT and one pass of each elementwise
     step, yet each row comes out bit for bit as if scored alone, so ``update``
     (one window), ``run_streaming`` (blocks) and ``run_batch`` agree.
+
+    The kernel owns scratch for ``rows`` windows: the extended windows, as
+    the real part of a complex array whose imaginary part stays 0, so the FFT
+    reads them without a cast; the spectrum, its amplitude, the residual, the
+    moving sums and the pad gradients.  A call takes the views it needs of
+    that scratch, built at the first call of each input shape, and every step
+    writes into them through ``out=``, the inverse FFT in place, so a call
+    allocates no array of the window's size.  The saliency it returns is such
+    a view, overwritten by the next call.  Scratch is not state: a kernel
+    pickles as its constructor arguments and builds its scratch anew.
     """
 
     def __init__(self, n: int, ma_width: int, pad_points: int, rows: int = 1):
         _check_ma_width(n, ma_width, pad_points)
-        self.n = n
+        self.n, self._args = n, (n, ma_width, pad_points, rows)
         self._m = m = _pad_count(n, pad_points)
         self._steps = np.arange(1.0, m + 1)
         self._ma_kernel = np.ones(ma_width)
         self._ma_denominator = _moving_sums(np.ones(n + m), self._ma_kernel)
-        # flat, so that a 1-D window and a block of rows view it alike
-        self._ext = np.empty(rows * (n + m), dtype=np.float64)
+        # flat, so that a 1-D window and a block of rows view them alike
+        size = rows * (n + m)
+        self._scratch = (np.zeros(size, dtype=np.complex128), np.empty(size, dtype=np.complex128),
+                         np.empty(size), np.empty(size), np.empty(size), np.empty(rows * m))
+        self._views: dict[tuple[int, ...], tuple] = {}
+
+    def __reduce__(self):
+        return type(self), self._args
+
+    def _views_of(self, shape: tuple[int, ...]) -> tuple:
+        """The scratch views that windows of ``shape`` use."""
+        n, m = self.n, self._m
+        lead = shape[:-1]
+        size = (shape[0] if lead else 1) * (n + m)
+        windows, z, amp, residual, sums = (a[:size].reshape(*lead, n + m) for a in self._scratch[:5])
+        grads = self._scratch[5][: size // (n + m) * m].reshape(*lead, m)
+        ext = windows.real
+        # the grads' operands: the second-newest point and the m before it, newest first
+        operands = ext[..., n - 2 : n - 1], ext[..., n - 2 - m : n - 2][..., ::-1]
+        slices = _shifted_slices(residual, sums, len(self._ma_kernel))
+        self._views[shape] = views = (
+            windows, ext, ext[..., :n], *operands, ext[..., n:], grads, z, amp, residual, sums, slices, amp[..., :n]
+        )
+        return views
 
     def __call__(self, windows: np.ndarray) -> np.ndarray:
         """Saliency of ``windows``: ``n`` points, or at most ``rows`` rows of ``n``."""
         n, m = self.n, self._m
-        ext = self._ext[: windows.size // n * (n + m)].reshape(*windows.shape[:-1], n + m)
-        ext[..., :n] = windows
+        views = self._views.get(windows.shape) or self._views_of(windows.shape)
+        extended, ext, head, newest, earlier, pads, grads, z, amp, residual, sums, slices, sal = views
+        head[...] = windows
         if m > 0:
             # The pad estimate must not see the newest point, or a spike there
             # would drag the pads to its own level and hide itself.
-            grads = (ext[..., n - 2 : n - 1] - ext[..., n - 2 - m : n - 2][..., ::-1]) / self._steps
+            np.divide(np.subtract(newest, earlier, out=grads), self._steps, out=grads)
             # .T[i] is ext[..., i] for one window or a block, but for one window
             # a scalar, whose arithmetic skips the array machinery (so sal.T[-1])
-            ext[..., n:] = (ext.T[n - 1 - m] + np.add.reduce(grads, axis=-1) / m * m)[..., None]
-        z = np.fft.fft(ext, axis=-1)
-        amp = np.abs(z)
-        # the residual goes through ext, free now
-        residual = np.log(np.maximum(amp, _LOG_EPS, out=ext), out=ext)
-        residual -= _moving_sums(residual, self._ma_kernel) / self._ma_denominator
+            pads[...] = (ext.T[n - 1 - m] + np.add.reduce(grads, axis=-1) / m * m)[..., None]
+        np.abs(np.fft.fft(extended, axis=-1, out=z), out=amp)
+        np.log(np.maximum(amp, _LOG_EPS, out=residual), out=residual)
+        sums = _moving_sums(residual, self._ma_kernel, sums, slices)
+        np.subtract(residual, np.divide(sums, self._ma_denominator, out=sums), out=residual)
         if not amp.all():
             # an exactly-zero bin keeps the phasor arctan2 gives it
             zero = amp == 0.0
@@ -224,7 +257,8 @@ class _SaliencyKernel:
             amp[zero] = 1.0
         # exp(residual + i·phase) is exp(residual)·z/|z|
         np.multiply(z, np.divide(np.exp(residual, out=residual), amp, out=residual), out=z)
-        return np.abs(np.fft.ifft(z, axis=-1), out=amp)[..., :n]
+        np.abs(np.fft.ifft(z, axis=-1, out=z), out=amp)
+        return sal
 
     def newest_scores(self, windows: np.ndarray) -> np.ndarray:
         """Relative saliency of the newest (last) point of each window, floored at 0; NaN stays NaN."""
@@ -233,8 +267,23 @@ class _SaliencyKernel:
         return np.maximum((sal.T[-1] - mean_sal) / (mean_sal + _SAL_EPS), 0.0)
 
 
-def _moving_sums(rows: np.ndarray, ones: np.ndarray) -> np.ndarray:
+def _shifted_slices(rows: np.ndarray, sums: np.ndarray, width: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (``sums`` slice, ``rows`` slice) pairs, one per shift of a ``width``-term moving sum."""
+    n, slices = rows.shape[-1], []
+    for shift in range(-(width // 2), width - width // 2):
+        if shift < 0:
+            slices.append((sums[..., -shift:], rows[..., : n + shift]))
+        else:
+            slices.append((sums[..., : n - shift], rows[..., shift:]))
+    return slices
+
+
+def _moving_sums(rows: np.ndarray, ones: np.ndarray, sums: np.ndarray | None = None,
+                 slices: list | None = None) -> np.ndarray:
     """``np.convolve(row, ones, "same")`` of each row (the last axis) of ``rows``; ``ones`` is all 1.0.
+
+    The sums go into ``sums`` when given, an array of ``rows``' shape, and
+    ``slices``, when given, are ``_shifted_slices(rows, sums, len(ones))``.
 
     Below ``_SIMD_DOT_TERMS`` terms, one row or a block adds the shifted
     slices onto zeros in index order, edges truncated; from it, each row goes
@@ -245,16 +294,14 @@ def _moving_sums(rows: np.ndarray, ones: np.ndarray) -> np.ndarray:
     longer ones in SIMD lanes, whose sums can differ in the last bit.
     """
     n, width = rows.shape[-1], len(ones)
-    sums = np.zeros(rows.shape)
+    sums = np.empty(rows.shape) if sums is None else sums
     if width >= _SIMD_DOT_TERMS:
         for row, out in zip(rows.reshape(-1, n), sums.reshape(-1, n)):
             out[:] = np.convolve(row, ones, mode="same")
         return sums
-    for shift in range(-(width // 2), width - width // 2):
-        if shift < 0:
-            sums[..., -shift:] += rows[..., : n + shift]
-        else:
-            sums[..., : n - shift] += rows[..., shift:]
+    sums.fill(0.0)
+    for dst, src in slices or _shifted_slices(rows, sums, width):
+        np.add(dst, src, out=dst)
     return sums
 
 
@@ -537,8 +584,8 @@ def _spectral_residual_stream(config: DetectorConfig, values: np.ndarray) -> np.
     w = int(config.window)
     scores = np.full(len(values), MISSING, dtype=np.float64)
     if len(values) >= w:
-        kernel = _SaliencyKernel(w, config.sr_ma_width, _SR_PAD_POINTS, _SR_BLOCK_ROWS)
         windows = sliding_window_view(values, w)
+        kernel = _SaliencyKernel(w, config.sr_ma_width, _SR_PAD_POINTS, min(_SR_BLOCK_ROWS, len(windows)))
         for start in range(0, len(windows), _SR_BLOCK_ROWS):
             block = windows[start : start + _SR_BLOCK_ROWS]
             scores[w - 1 + start : w - 1 + start + len(block)] = kernel.newest_scores(block)
@@ -562,8 +609,9 @@ def run_batch(config: DetectorConfig, series: TimeSeries) -> ScoreSequence:
         if n:
             kernel = _SaliencyKernel(n, config.sr_ma_width, _SR_PAD_POINTS)
             sal = kernel(values)
-            mean_sal = float(sal.mean())
-            scores = np.maximum(0.0, (sal - mean_sal) / (mean_sal + _SAL_EPS))
+            mean_sal = float(np.add.reduce(sal) / n)
+            np.subtract(sal, mean_sal, out=scores)
+            np.maximum(0.0, np.divide(scores, mean_sal + _SAL_EPS, out=scores), out=scores)
     elif method == "ewma_residual":
         a = config.alpha
         resid = np.empty(n)
