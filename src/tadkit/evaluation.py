@@ -198,7 +198,7 @@ def _build_report(
     fp = int(np.sum((scored_pred == 1) & (scored_lab == 0)))
     fn = int(np.sum((scored_pred == 0) & (scored_lab == 1)))
     precision, recall, f1 = _prf(tp, fp, fn)
-    summary = detection_delay(pred, lab, max_delay)
+    summary = detection_delay(scored_pred, scored_lab, max_delay)
     return EvalReport(
         protocol=protocol,
         regret=float(loss.fn_cost * fn + loss.fp_cost * fp),

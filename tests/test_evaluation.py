@@ -262,6 +262,22 @@ def test_streaming_report_is_recomputable_by_hand():
     assert report.alert_count == int(pred.sum())
 
 
+@pytest.mark.parametrize("protocol", ["streaming", "hil"])
+def test_a_warmup_covering_the_whole_series_reports_no_missed_event(protocol):
+    # delays and missed events count the scored points only, as precision and recall do
+    series, labels = _spiky()
+    config = DetectorConfig(method="spectral_residual", window=400)
+    spec = ThresholdSpec(kind="k_sigma", k=3.0)
+    if protocol == "streaming":
+        report = evaluate_streaming(config, spec, series, labels)
+    else:
+        report, _ = run_hil(DetectorThresholdPolicy(config, spec), series, labels)
+    assert labels.sum() == 3
+    assert report.warmup_excluded == len(series.values)
+    assert report.missed_events == 0
+    assert report.detection_delays == ()
+
+
 def test_batch_report_uses_the_batch_protocol_label():
     series, labels = _spiky(seed=4)
     report = evaluate_batch(
