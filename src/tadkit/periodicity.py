@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 import time
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -56,6 +55,11 @@ __all__ = [
 # Candidate-period convention shared by the estimators (half-open range).
 MIN_CANDIDATE_LAG = 10
 MAX_CANDIDATE_LAG = 1000
+
+# Shuffle counts autoperiod's threshold and the random baseline take.  A
+# count sizes an array before the first shuffle runs, so it is refused above
+# this; a million shuffles already rank a percentile to a millionth.
+PERMUTATIONS = Range(1, 10**6)
 
 # ACF peaks with less prominence than this (in normalized-ACF units, so the
 # scale is [-1, 1]) are treated as noise ripple by ``detect_period_acf``.
@@ -323,7 +327,7 @@ def detect_period_autoperiod(
     — a genuine hill — wins, refined to the ACF argmax inside the range.
     """
     t0 = time.perf_counter()
-    for problem in (refusal("n_permutations", n_permutations, int, Range(1, INT64_MAX), None),
+    for problem in (refusal("n_permutations", n_permutations, int, PERMUTATIONS, None),
                     refusal("percentile", percentile, float, Range(0, 100), None)):
         if problem is not None:
             raise SpecError(problem)
@@ -441,9 +445,10 @@ def run_period_benchmark(
     by permuting the true periods across series; its accuracy is averaged
     over ``random_permutations`` shuffles and its runtime reported as 0.
     """
-    counts = {"n_series": n_series, "threads": threads, "random_permutations": random_permutations}
-    for name, count in counts.items():
-        if (problem := refusal(name, count, int, Range(1, INT64_MAX), None)) is not None:
+    counts = {"n_series": (n_series, Range(1, INT64_MAX)), "threads": (threads, Range(1, INT64_MAX)),
+              "random_permutations": (random_permutations, PERMUTATIONS)}
+    for name, (count, numbers) in counts.items():
+        if (problem := refusal(name, count, int, numbers, None)) is not None:
             raise SpecError(problem)
     config = config or PeriodicGeneratorConfig()
     if not methods:
@@ -456,6 +461,9 @@ def run_period_benchmark(
 
     workers = min(threads, n_series, os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads multiprocessing, which no other task needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, repeat(config), range(n_series), repeat(methods),
                                  chunksize=max(1, n_series // (8 * workers))))

@@ -1413,6 +1413,7 @@ def test_reports_are_deterministic_modulo_timings(runner, tmp_path):
         ("hil", ["--threshold-kind", "feedback_adaptive", "--threshold-value", "-0.5"], None),
         ("bench-period", [], {"methods": 5}),
         ("bench-period", ["--n-series", "2", "--permutations", "-1"], None),
+        ("bench-period", ["--n-series", "1", "--methods", "random", "--permutations", str(10**18)], None),
         ("cohort", [], {"top": "2"}),
         ("cohort", ["--top", "-1"], None),
         ("datagen", ["--n-series", "0"], None),

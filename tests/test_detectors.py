@@ -8,6 +8,7 @@ from tadkit import detectors
 from tadkit.core import InputError, SpecError, TimeSeries
 from tadkit.detectors import (
     _SR_BLOCK_ROWS,
+    _SR_PAD_POINTS,
     METHODS,
     DetectorConfig,
     _SaliencyKernel,
@@ -231,6 +232,23 @@ def test_sr_an_exactly_zero_bin_takes_the_arctan2_phasor():
         assert kernel(row).tobytes() == sal.tobytes() == oracle_saliency(row, 3, 0).tobytes()
 
 
+@pytest.mark.parametrize("w", [3, 8, 128])
+def test_fft_into_a_buffer_and_the_inverse_in_place_equal_the_allocating_calls(w):
+    # the kernel transforms into its scratch through out= (numpy >= 2.0); a
+    # numpy release that changes those bits fails here, not in a score oracle
+    rng = np.random.default_rng(w)
+    n = w + _SR_PAD_POINTS
+    for x in (rng.standard_normal(n), rng.standard_normal((_SR_BLOCK_ROWS, n)) * 1e4):
+        z = np.zeros(x.shape, dtype=np.complex128)
+        z.real[...] = x
+        out = np.empty(x.shape, dtype=np.complex128)
+        assert np.fft.fft(z, axis=-1, out=out) is out
+        assert out.tobytes() == np.fft.fft(x, axis=-1).tobytes() == np.fft.fft(z, axis=-1).tobytes()
+        expected = np.fft.ifft(out, axis=-1)
+        assert np.fft.ifft(out, axis=-1, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("width", range(1, 18))
 def test_moving_sums_equal_np_convolve_bit_for_bit(width):
     # Below 16 wide, one row or a block adds shifted slices; 16 and 17 take
@@ -286,7 +304,9 @@ def test_sr_batch_scores_the_whole_series_as_one_window():
 
 
 @pytest.mark.parametrize("w", [3, 16])
-@pytest.mark.parametrize("n_extra", [-1, 0, 1, 3 * _SR_BLOCK_ROWS + 5])
+@pytest.mark.parametrize(
+    "n_extra", [-1, 0, 1, _SR_BLOCK_ROWS - 1, _SR_BLOCK_ROWS, _SR_BLOCK_ROWS + 1, 2 * _SR_BLOCK_ROWS, 3 * _SR_BLOCK_ROWS + 5]
+)
 def test_sr_run_streaming_equals_the_update_loop(w, n_extra):
     # n_extra past w - 1 is the number of scored windows: 3 blocks + 5 crosses
     # every block edge, and n < w is warmup only

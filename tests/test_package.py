@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tadkit
@@ -68,3 +71,12 @@ def test_every_top_level_import_is_used():
     unused = {path.name: names for path in sorted(package.glob("*.py"))
               if path.name != "__init__.py" and (names := _unused_imports(path))}
     assert unused == {}
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # bench-period --threads N>1 imports the pool where it starts one
+    package_root = str(Path(tadkit.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, tadkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from tadkit.periodicity import (
     DEFAULT_METHODS,
     MAX_CANDIDATE_LAG,
     MIN_CANDIDATE_LAG,
+    PERMUTATIONS,
     _bench_one,
     _local_maxima,
     _next_fast_len,
@@ -168,7 +171,7 @@ def test_autoperiod_is_deterministic_given_seed():
 
 
 @pytest.mark.parametrize("arguments, message", [
-    ({"n_permutations": 0}, "n_permutations must be an integer in [1, int64 max], got 0"),
+    ({"n_permutations": 0}, "n_permutations must be an integer in [1, 1000000], got 0"),
     ({"n_permutations": -3}, "n_permutations must be an integer"),
     ({"n_permutations": 2.0}, "n_permutations must be an integer"),
     ({"n_permutations": True}, "n_permutations must be an integer"),
@@ -182,6 +185,16 @@ def test_autoperiod_refuses_bad_permutation_arguments(arguments, message):
     with pytest.raises(SpecError) as refused:
         detect_period_autoperiod(_sine(200, 20), **arguments)
     assert str(refused.value).startswith(message)
+
+
+@pytest.mark.parametrize("count", [PERMUTATIONS.hi + 1, 10**18, 2**63 - 1])
+def test_permutation_counts_above_the_maximum_are_refused_before_allocating(count):
+    # each count sizes an array before the first shuffle; 10**18 floats are 8 EB
+    assert PERMUTATIONS.hi == 10**6
+    with pytest.raises(SpecError, match=r"n_permutations must be an integer in \[1, 1000000\]"):
+        detect_period_autoperiod(_sine(200, 20), n_permutations=count)
+    with pytest.raises(SpecError, match=r"random_permutations must be an integer in \[1, 1000000\]"):
+        run_period_benchmark(1, methods=("random",), random_permutations=count)
 
 
 def test_autoperiod_takes_the_ends_of_its_argument_ranges():
@@ -244,7 +257,7 @@ def test_benchmark_starts_at_most_one_worker_per_series_and_cpu(
 
     config = PeriodicGeneratorConfig(seed=6)
     serial = run_period_benchmark(n_series, config=config, methods=("fft", "random"))
-    monkeypatch.setattr(periodicity, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(periodicity.os, "cpu_count", lambda: cpus)
     capped = run_period_benchmark(n_series, config=config, methods=("fft", "random"), threads=threads)
     assert made == ([] if workers is None else [workers])
