@@ -18,6 +18,10 @@ commits resolve too:
   ``run_batch``, over the same series;
 - each threshold kind's ``update`` over the EWMA scores of that series
   (``trailing_percentile`` over EWMA is aim 1's "decision <= detector" pair);
+- the trailing percentile over the EWMA scores of a 20,000-point series, so
+  its default 4,096-score reservoir is full and sampling;
+- ``run_conditional`` with the default config over a 40,000-point random
+  walk whose one covariate is stuck at 4.0;
 - ``DetectorThresholdPolicy.decide`` in an interactive loop, EWMA under
   ``feedback_adaptive``, with feedback on every flagged point;
 - ``run_population`` over a seeded 80-series population, EWMA under
@@ -52,6 +56,8 @@ WINDOW_N = 600  # points for the window detectors, whose update grows with histo
 WINDOW = 32
 SR_WINDOWS = (32, 128)  # spectral residual's run_streaming windows
 FLEET = (80, 1000)  # series, ticks
+FULL_RESERVOIR_N = 20_000  # EWMA scores, past the default 4,096-score reservoir
+STUCK_N = 40_000  # points of the stuck-covariate conditional run
 
 METHODS = ("spectral_residual", "ewma_residual", "left_discord", "kmeans_window")
 KINDS = ("fixed_value", "trailing_percentile", "k_sigma", "feedback_adaptive")
@@ -63,6 +69,8 @@ LAYERS = {
     **{f"detectors.spectral_residual.run_streaming_w{w}": ("us/pt", N) for w in SR_WINDOWS},
     "detectors.spectral_residual.run_batch": ("us/pt", N),
     **{f"thresholds.{k}.update_over_ewma": ("us/pt", N) for k in KINDS},
+    "thresholds.trailing_percentile.update_full_reservoir": ("us/pt", FULL_RESERVOIR_N),
+    "conditional.run_conditional_stuck_covariate": ("us/pt", STUCK_N),
     "evaluation.hil_decide": ("us/pt", N),
     "evaluation.run_population": ("us/pt", FLEET[0] * FLEET[1]),
     "fleet.tick_ewma_k_sigma": ("us/tick", FLEET[1]),
@@ -88,9 +96,9 @@ class Calls:
 
     def __init__(self):
         import numpy as np
-        from tadkit import core, detectors, evaluation, thresholds
+        from tadkit import conditional, core, detectors, evaluation, thresholds
 
-        self.det, self.ev, self.thr = detectors, evaluation, thresholds
+        self.det, self.ev, self.thr, self.cond = detectors, evaluation, thresholds, conditional
         rng = np.random.default_rng(SEED)
         t = np.arange(N)
         values = np.sin(2 * np.pi * t / 24) + 0.3 * rng.standard_normal(N)
@@ -106,12 +114,20 @@ class Calls:
         self.population = core.PopulationDataset(
             tuple(core.TimeSeries(0, 60, row) for row in fleet), tuple({"g": "x"} for _ in fleet)
         )
+        long = np.sin(2 * np.pi * np.arange(FULL_RESERVOIR_N) / 24) + 0.3 * rng.standard_normal(FULL_RESERVOIR_N)
+        ewma = detectors.make_detector(detectors.DetectorConfig(method="ewma_residual"))
+        self.long_ewma_scores = [ewma.update(x) for x in long.tolist()]
+        walk = core.TimeSeries(0, 60, np.cumsum(rng.standard_normal(STUCK_N)))
+        self.stuck = core.CovariateSet(walk, {"c": core.TimeSeries(0, 60, np.full(STUCK_N, 4.0))})
         self.layers = {
             **{f"detectors.{m}.update": partial(self.detector, m) for m in METHODS},
             **{f"detectors.spectral_residual.run_streaming_w{w}": partial(self.sr_run, detectors.run_streaming, w)
                for w in SR_WINDOWS},
             "detectors.spectral_residual.run_batch": partial(self.sr_run, detectors.run_batch, 128),
-            **{f"thresholds.{k}.update_over_ewma": partial(self.threshold, k) for k in KINDS},
+            **{f"thresholds.{k}.update_over_ewma": partial(self.threshold, k, self.ewma_scores) for k in KINDS},
+            "thresholds.trailing_percentile.update_full_reservoir":
+                partial(self.threshold, "trailing_percentile", self.long_ewma_scores),
+            "conditional.run_conditional_stuck_covariate": self.stuck_conditional,
             "evaluation.hil_decide": self.hil_decide,
             "evaluation.run_population": self.run_population,
             "fleet.tick_ewma_k_sigma": self.fleet_tick,
@@ -127,10 +143,13 @@ class Calls:
     def sr_run(self, run, window: int) -> None:
         run(self.det.DetectorConfig(method="spectral_residual", window=window), self.series)
 
-    def threshold(self, kind: str) -> None:
+    def threshold(self, kind: str, scores: list) -> None:
         update = self.thr.Thresholder(self.thr.ThresholdSpec(kind=kind, value=2.5)).update
-        for s in self.ewma_scores:
+        for s in scores:
             update(s)
+
+    def stuck_conditional(self) -> None:
+        self.cond.run_conditional(self.cond.ConditionalConfig(), self.stuck)
 
     def hil_decide(self) -> None:
         policy = self.ev.DetectorThresholdPolicy(
