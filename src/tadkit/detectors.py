@@ -221,9 +221,9 @@ class _SaliencyKernel:
         """The scratch views that windows of ``shape`` use."""
         n, m = self.n, self._m
         lead = shape[:-1]
-        size = (shape[0] if lead else 1) * (n + m)
-        windows, z, amp, residual, sums = (a[:size].reshape(*lead, n + m) for a in self._scratch[:5])
-        grads = self._scratch[5][: size // (n + m) * m].reshape(*lead, m)
+        k = shape[0] if lead else 1
+        windows, z, amp, residual, sums = (a[: k * (n + m)].reshape(*lead, n + m) for a in self._scratch[:5])
+        grads = self._scratch[5][: k * m].reshape(*lead, m)
         ext = windows.real
         # the grads' operands: the second-newest point and the m before it, newest first
         operands = ext[..., n - 2 : n - 1], ext[..., n - 2 - m : n - 2][..., ::-1]
