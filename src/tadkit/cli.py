@@ -634,7 +634,6 @@ def _task_detect(config: ExperimentConfig, out_dir: Path) -> list[dict]:
 
 def _eval_record(kind: str, report, input_path: str) -> dict:
     doc = asdict(report)
-    doc["detection_delays"] = list(doc["detection_delays"])
     doc.update({"record": kind, "input": Path(input_path).name})
     return doc
 

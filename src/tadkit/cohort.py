@@ -202,20 +202,16 @@ def mine_rules_over_time(
     if steps.size == 0 or not schema:  # nothing to mine, or no rule to mine
         return ()
     terms, masks, coverage = _candidates(attributes, schema, config)
-    intervals: list[RuleInterval] = []
-    open_index: int | None = None
-    open_start = end = 0
-    for t in steps.tolist():
+    # each mined step's top rule, -1 where none clears min_score, and its score
+    top, best = np.full(len(steps), -1), np.zeros(len(steps))
+    for j, t in enumerate(steps.tolist()):
         scores = _scores(config, masks @ anomalous[:, t], coverage, int(positives[t]))
-        best = int(np.argmax(scores))
-        top = best if scores[best] >= config.min_score else None
-        if open_index is not None and (t != end or top != open_index):
-            intervals.append(RuleInterval(open_start, end, open_rule))
-            open_index = None
-        if top is not None and open_index is None:
-            open_index, open_start = top, t
-            open_rule = Rule(terms[top], float(scores[top]), int(coverage[top]))
-        end = t + 1
-    if open_index is not None:
-        intervals.append(RuleInterval(open_start, end, open_rule))
-    return tuple(intervals)
+        i = int(np.argmax(scores))
+        if scores[i] >= config.min_score:
+            top[j], best[j] = i, scores[i]
+    # an interval ends where the step index jumps or the top rule changes
+    cuts = [0, *(np.flatnonzero((np.diff(steps) != 1) | (np.diff(top) != 0)) + 1).tolist(), len(steps)]
+    return tuple(
+        RuleInterval(int(steps[a]), int(steps[b - 1]) + 1, Rule(terms[top[a]], float(best[a]), int(coverage[top[a]])))
+        for a, b in zip(cuts, cuts[1:]) if top[a] >= 0
+    )

@@ -166,23 +166,13 @@ def detection_delay(
     if len(pred) != len(lab):
         raise AlignmentError(f"predictions length {len(pred)} != labels length {len(lab)}")
     n = len(lab)
-    delays: list[int] = []
-    missed = 0
-    t = 0
-    while t < n:
-        if lab[t] == 1:
-            start = t
-            while t + 1 < n and lab[t + 1] == 1:
-                t += 1
-            end = t
-            window = pred[start : min(end + max_delay, n - 1) + 1]
-            hits = np.nonzero(window == 1)[0]
-            if hits.size:
-                delays.append(int(hits[0]))
-            else:
-                missed += 1
-        t += 1
-    return DelaySummary(delays=tuple(delays), missed=missed)
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], lab == 1, [False]])))
+    starts, ends = edges[::2], edges[1::2] - 1  # each event's first and last index
+    alerts = np.append(np.flatnonzero(pred == 1), n)  # n stands for "no alert left"
+    first = alerts[np.searchsorted(alerts, starts)]
+    # the grace is clipped to n before it is added, so the sum cannot overflow int64
+    caught = first <= np.minimum(ends + min(max_delay, n), n - 1)
+    return DelaySummary(delays=tuple((first - starts)[caught].tolist()), missed=int(np.count_nonzero(~caught)))
 
 
 def _build_report(
@@ -194,9 +184,8 @@ def _build_report(
     max_delay: int,
 ) -> EvalReport:
     scored_pred, scored_lab = pred[warmup:], lab[warmup:]
-    tp = int(np.sum((scored_pred == 1) & (scored_lab == 1)))
-    fp = int(np.sum((scored_pred == 1) & (scored_lab == 0)))
-    fn = int(np.sum((scored_pred == 0) & (scored_lab == 1)))
+    # labels and decisions are 0/1, so 2·label + decision counts tn, fp, fn and tp
+    _, fp, fn, tp = np.bincount(2 * scored_lab + scored_pred, minlength=4).tolist()
     precision, recall, f1 = _prf(tp, fp, fn)
     summary = detection_delay(scored_pred, scored_lab, max_delay)
     return EvalReport(
