@@ -47,8 +47,9 @@ WALL_CLOCK_COLUMN = "mean_runtime_s"
 CLI = "from tadkit.cli import main; main()"
 
 # Every task at least once, from the inputs that write_inputs() draws: both
-# protocols, inline and file labels, a weighted loss, both cohort modes, a
-# period table on one and on two worker processes, and each conditional mode.
+# protocols, inline and file labels, a weighted loss, int64's maximum grace,
+# both cohort modes, a period table on one and on two worker processes, and
+# each conditional mode.
 RUNS = {
     "datagen": ["datagen", "--n-series", "3", "--length", "400", "--inject-rate", "0.02", "--seed", "4"],
     "datagen-uniform": ["datagen", "--n-series", "2", "--length", "300", "--inject-rate", "0.03",
@@ -65,6 +66,8 @@ RUNS = {
                               "--loss-kind", "weighted", "--fn-cost", "5"],
     "hil": ["hil", "--input", "inputs/series.csv", "--method", "ewma_residual",
             "--threshold-kind", "feedback_adaptive", "--threshold-value", "4"],
+    "hil-max-delay": ["hil", "--input", "inputs/series.csv", "--method", "ewma_residual",
+                      "--max-delay", "9223372036854775807"],
     "bench-period": ["bench-period", "--n-series", "40", "--permutations", "20", "--seed", "2"],
     "bench-period-threads": ["bench-period", "--n-series", "24", "--methods", "peaks,acf,fft",
                              "--threads", "2", "--seed", "3"],
@@ -102,6 +105,8 @@ def write_inputs(inputs: Path) -> None:
     t = np.arange(n)
     values = np.sin(2 * np.pi * t / 24) + 0.1 * rng.standard_normal(n)
     labels = (rng.random(n) < 0.02).astype(int)
+    # one event inside the warmup of evaluate --window 32, one ending on the last point
+    labels[[10, n - 1]] = 1
     values[labels == 1] += 4.0
     stamps = 1767312000 + 60 * t
     write_csv(inputs / "series.csv", ["timestamp", "value", "label"],
