@@ -77,8 +77,7 @@ class ConditionalScorer:
             raise SpecError("need at least one regressor besides the intercept")
         self.config = config
         self.n_covariates = n_covariates
-        self._p = p = 1 + config.ar_order + n_covariates * (1 + config.covariate_lags)
-        self._max_lag = m = max(config.ar_order, config.covariate_lags)
+        self._p, self._max_lag = p, m = _order(config, n_covariates)
         self._width = width = 1 + n_covariates
         self._offsets = np.array(
             [-i * width for i in range(1, config.ar_order + 1)]
@@ -144,6 +143,11 @@ class ConditionalScorer:
         scores = np.array(scores)
         scores[:skip] = MISSING
         return scores
+
+
+def _order(config: ConditionalConfig, n_covariates: int) -> tuple[int, int]:
+    """The regressor count p, the intercept included, and the largest lag."""
+    return 1 + config.ar_order + n_covariates * (1 + config.covariate_lags), max(config.ar_order, config.covariate_lags)
 
 
 def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,12 +297,17 @@ def run_conditional(config: ConditionalConfig, data: CovariateSet) -> ScoreSeque
     inputs = np.column_stack([target] + [data.covariates[n].values for n in data.names])
     if np.isnan(inputs).any():
         raise InputError("conditional scoring needs gap-free inputs; resample first")
+    p, lag = _order(config, len(data.names))
+    warmup = lag + p
+    if warmup >= len(target) and p > 1:
+        # no point is scorable: answer before building anything of the order's
+        # size (the scorer refuses p == 1, no regressor besides the intercept)
+        return ScoreSequence(np.full(len(target), MISSING), len(target))
     scorer = ConditionalScorer(config, n_covariates=len(data.names))
     scores = np.full(len(target), MISSING)
-    warmup, p = scorer.warmup, scorer._p
     rows = max(1, min(_BLOCK, (1 << 17) // (p * p)))
     # steps start at the largest lag, so every offset is in range
-    for start in range(scorer._max_lag, len(target), rows):
+    for start in range(lag, len(target), rows):
         steps = np.arange(start, min(start + rows, len(target)))
         z = np.ones((len(steps), p + 1))
         z[:, 1:] = inputs.reshape(-1)[steps[:, None] * scorer._width + scorer._offsets]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from math import ceil, isfinite, isnan, sqrt
+from math import ceil, isfinite, sqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -151,28 +151,40 @@ class StreamingDetector(ABC):
 class _WindowStore:
     """Every completed ``w``-point window of a series, one row of ``rows[:n]``
     each, with its mean ``mu`` and standard deviation ``sd``, taken once, when
-    the window completes.  Batch passes ``values``; streaming ``push``es."""
+    the window completes.  Batch passes ``values``; streaming ``push``es.
+
+    The first w - 1 pushed points wait in a list, and the rows are built with
+    the w-th as batch builds them, so a window longer than the stream
+    allocates nothing of its size."""
 
     def __init__(self, w: int, values: np.ndarray | None = None):
-        # pushed points are finite, so a NaN left in row n marks it as still filling
-        rows = np.full((64, w), np.nan) if values is None else sliding_window_view(values, w).copy()
+        self._w, self.n, self._head = w, 0, []
+        if values is not None:
+            self._take(values)
+
+    def _take(self, values: np.ndarray) -> None:
+        rows = sliding_window_view(values, self._w).copy()
         self.rows, self.mu, self.sd = rows, rows.mean(axis=1), rows.std(axis=1)
-        self.n = 0 if values is None else len(rows)
+        self.n = len(rows)
 
     def push(self, x: float) -> None:
-        """Shift ``x`` into row ``n``; the ``w``-th point and each one after complete it."""
-        n, row = self.n, self.rows[self.n]
-        row[:-1] = row[1:]
+        """Complete row ``n`` with ``x``, from the w-th point on."""
+        n = self.n
+        if not n:
+            self._head.append(x)
+            if len(self._head) == self._w:
+                self._take(np.array(self._head))
+            return
+        if n == len(self.rows):
+            self.rows, self.mu, self.sd = (np.concatenate([a, a]) for a in (self.rows, self.mu, self.sd))
+        row = self.rows[n]
+        row[:-1] = self.rows[n - 1, 1:]
         row[-1] = x
-        if not isnan(row[0]):
-            # np.mean and np.std, spelled out to skip their per-call overhead
-            mu = np.add.reduce(row) / len(row)
-            dev = row - mu
-            self.mu[n], self.sd[n] = mu, sqrt(np.add.reduce(dev * dev) / len(row))
-            self.n = n = n + 1
-            if n == len(self.rows):
-                self.rows, self.mu, self.sd = (np.concatenate([a, a]) for a in (self.rows, self.mu, self.sd))
-            self.rows[n] = row
+        # np.mean and np.std, spelled out to skip their per-call overhead
+        mu = np.add.reduce(row) / len(row)
+        dev = row - mu
+        self.mu[n], self.sd[n] = mu, sqrt(np.add.reduce(dev * dev) / len(row))
+        self.n = n + 1
 
 
 class _SaliencyKernel:

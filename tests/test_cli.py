@@ -1505,15 +1505,30 @@ def test_sizes_past_int64_give_one_json_error_line(runner, tmp_path, flags):
     assert payload["error"] == "SpecError" and "int64 max" in payload["message"]
 
 
-@pytest.mark.parametrize("task, warmup_key", [("detect", "warmup"), ("hil", "warmup_excluded")])
-def test_a_spectral_residual_window_longer_than_the_series_scores_all_warmup(runner, tmp_path, task, warmup_key):
-    # the streaming detector builds its window-sized buffer and kernel only at the w-th point
+@pytest.mark.parametrize("method", ["spectral_residual", "left_discord", "kmeans_window"])
+@pytest.mark.parametrize("task, warmup_key",
+                         [("detect", "warmup"), ("evaluate", "warmup_excluded"), ("hil", "warmup_excluded")])
+def test_a_window_longer_than_the_series_scores_all_warmup(runner, tmp_path, method, task, warmup_key):
+    # a streaming window detector builds its window-sized arrays only at the w-th point
     out = tmp_path / "out"
-    result = runner.invoke(main, [task, "--input", str(_make_input(tmp_path)), "--method", "spectral_residual",
+    result = runner.invoke(main, [task, "--input", str(_make_input(tmp_path)), "--method", method,
                                   "--window", str(10**18), "--out", str(out)])
     assert result.exit_code == 0, repr(result.exception)
     (record,) = [r for r in _read_report(out) if r["record"] == task]
     assert record[warmup_key] == 240 and record["alert_count"] == 0
+
+
+@pytest.mark.parametrize("flag", ["--ar-order", "--cov-lags"])
+def test_a_conditional_order_longer_than_the_table_scores_all_warmup(runner, tmp_path, flag):
+    # the order's warmup covers all 300 rows, so nothing of the order's size is built
+    rows = "".join(f"{60 * i},{math.sin(i / 5)!r},{i % 7}\n" for i in range(300))
+    path = _write(tmp_path / "in.csv", "timestamp,target,covariate\n" + rows)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["conditional", "--input", str(path), "--mode", "conditional",
+                                  flag, str(10**18), "--out", str(out)])
+    assert result.exit_code == 0, repr(result.exception)
+    (record,) = [r for r in _read_report(out) if r["record"] == "scores"]
+    assert record["warmup"] == record["n"] == 300 and record["max_score"] is None
 
 
 def test_seeds_have_no_upper_bound(runner, tmp_path):

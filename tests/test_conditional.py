@@ -285,6 +285,27 @@ def test_update_loop_equals_run_conditional_on_degenerate_inputs(config, target,
     assert np.isfinite(got.scores[got.warmup :]).all()
 
 
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_a_warmup_that_covers_the_series_matches_the_update_loop(n):
+    # ar 3 and 2 covariate lags give p = 7 and a largest lag of 3: warmup 10
+    config = ConditionalConfig(ar_order=3, covariate_lags=2)
+    rng = np.random.default_rng(n)
+    target, cov = rng.standard_normal(n), rng.standard_normal(n)
+    scorer = ConditionalScorer(config, n_covariates=1)
+    looped = np.array([scorer.update(x, (c,)) for x, c in zip(target, cov)])
+    got = run_conditional(config, _dataset(target, c=cov))
+    assert got.scores.tobytes() == looped.tobytes() and got.warmup == min(scorer.warmup, n) == min(10, n)
+
+
+@pytest.mark.parametrize("order", [dict(ar_order=10**18), dict(covariate_lags=10**18), dict(ar_order=2**63 - 1)])
+def test_an_order_past_the_series_is_all_warmup_before_allocating(order):
+    got = run_conditional(ConditionalConfig(**order), _dataset(np.arange(300.0), c=np.ones(300)))
+    assert got.warmup == 300 and np.isnan(got.scores).all()
+    # no regressor besides the intercept is still refused, however short the series
+    with pytest.raises(SpecError, match="at least one regressor"):
+        run_conditional(ConditionalConfig(ar_order=0), _dataset(np.arange(3.0)))
+
+
 @_DEGENERATE
 def test_block_size_does_not_change_a_bit(monkeypatch, config, target, covariates):
     data = _dataset(target, **{f"c{i}": c for i, c in enumerate(covariates)})
