@@ -1661,11 +1661,11 @@ def test_any_report_replays_from_its_own_meta_record(runner, tmp_path, task, fla
             assert (second / path.name).read_bytes() == path.read_bytes(), path.name
 
 
-def _declared(param):
+def _declared(param, task):
     """Values for ``param`` from its declaration: the low end and one below it,
-    small values inside, one past the high end, and a bogus choice.  The high
-    end itself is never drawn: no bound tied to the input refuses a size that
-    large yet, so a run would try to allocate it."""
+    small values inside, the high end and one past it, and a bogus choice.
+    Datagen's high ends are never drawn: its ``length`` and ``n_series`` take
+    any size up to int64's maximum, so a run would try to allocate it."""
     kinds = get_args(param.type) or (param.type,)
     options = [st.none()] if type(None) in kinds else []
     if param.choices:
@@ -1678,7 +1678,7 @@ def _declared(param):
         else:
             options.append(st.floats(base, base + 10 if numbers.hi is None else numbers.hi))
         ends = [] if numbers.lo is None else [numbers.lo, numbers.lo - 1]
-        ends += [] if numbers.hi is None else [numbers.hi + 1]
+        ends += [] if numbers.hi is None else [numbers.hi + 1] + [numbers.hi] * (task != "datagen")
         options += [st.sampled_from(ends)] if ends else []
     return st.one_of(options)
 
@@ -1698,6 +1698,8 @@ def drawn_files(tmp_path_factory):
     common = {"out": st.just("overridden-by-the-flag"), "labels": st.none()}
     return {
         "detect": {**common, **series},
+        "evaluate": {**common, **series},
+        "hil": {**common, **series},
         "datagen": common,
         "resample": {**common, **series},
         "conditional": {**common, "input": st.just(covariates), "target": st.sampled_from([None, "a", "b", "x"])},
@@ -1705,13 +1707,13 @@ def drawn_files(tmp_path_factory):
     }
 
 
-@pytest.mark.parametrize("task", ["detect", "datagen", "resample", "conditional", "cohort"])
+@pytest.mark.parametrize("task", ["detect", "evaluate", "hil", "datagen", "resample", "conditional", "cohort"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_any_config_document_runs_or_gives_one_json_error(drawn_files, task, data):
     keys, files = TASK_PARAMS[task], drawn_files[task]
     assert all(key in files or param.range or param.choices for key, param in keys.items())
-    right = {key: files[key] if key in files else _declared(param) for key, param in keys.items()}
+    right = {key: files[key] if key in files else _declared(param, task) for key, param in keys.items()}
     required = [key for key, param in keys.items() if param.default is MISSING]
     doc = data.draw(
         st.fixed_dictionaries(
