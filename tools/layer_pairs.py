@@ -24,6 +24,10 @@ commits resolve too:
   walk whose one covariate is stuck at 4.0;
 - ``DetectorThresholdPolicy.decide`` in an interactive loop, EWMA under
   ``feedback_adaptive``, with feedback on every flagged point;
+- ``detection_delay`` over 10,000 points in hil_feedback's shape: about 1%
+  of the points labelled, one by one, and 40% flagged;
+- ``mine_rules_over_time`` over an 80 x 1,000 anomaly matrix, 3% anomalous,
+  with fleet_cohort's attribute schema and ``min_support`` 3, per call;
 - ``run_population`` over a seeded 80-series population, EWMA under
   k-sigma, per point;
 - one fleet tick: the newest point of 80 series through EWMA and k-sigma,
@@ -58,11 +62,12 @@ SR_WINDOWS = (32, 128)  # spectral residual's run_streaming windows
 FLEET = (80, 1000)  # series, ticks
 FULL_RESERVOIR_N = 20_000  # EWMA scores, past the default 4,096-score reservoir
 STUCK_N = 40_000  # points of the stuck-covariate conditional run
+DELAY_N = 10_000  # points of the detection-delay input
 
 METHODS = ("spectral_residual", "ewma_residual", "left_discord", "kmeans_window")
 KINDS = ("fixed_value", "trailing_percentile", "k_sigma", "feedback_adaptive")
 
-# name -> (unit, what one call's time is divided by)
+# name -> (unit, what one call's time in µs is divided by; 1,000 gives ms per call)
 LAYERS = {
     **{f"detectors.{m}.update": ("us/pt", WINDOW_N if m in ("left_discord", "kmeans_window") else N)
        for m in METHODS},
@@ -72,6 +77,8 @@ LAYERS = {
     "thresholds.trailing_percentile.update_full_reservoir": ("us/pt", FULL_RESERVOIR_N),
     "conditional.run_conditional_stuck_covariate": ("us/pt", STUCK_N),
     "evaluation.hil_decide": ("us/pt", N),
+    "evaluation.detection_delay": ("us/pt", DELAY_N),
+    "cohort.mine_rules_over_time": ("ms/call", 1_000),
     "evaluation.run_population": ("us/pt", FLEET[0] * FLEET[1]),
     "fleet.tick_ewma_k_sigma": ("us/tick", FLEET[1]),
 }
@@ -96,9 +103,9 @@ class Calls:
 
     def __init__(self):
         import numpy as np
-        from tadkit import conditional, core, detectors, evaluation, thresholds
+        from tadkit import cohort, conditional, core, detectors, evaluation, thresholds
 
-        self.det, self.ev, self.thr, self.cond = detectors, evaluation, thresholds, conditional
+        self.det, self.ev, self.thr, self.cond, self.cohort = detectors, evaluation, thresholds, conditional, cohort
         rng = np.random.default_rng(SEED)
         t = np.arange(N)
         values = np.sin(2 * np.pi * t / 24) + 0.3 * rng.standard_normal(N)
@@ -119,6 +126,11 @@ class Calls:
         self.long_ewma_scores = [ewma.update(x) for x in long.tolist()]
         walk = core.TimeSeries(0, 60, np.cumsum(rng.standard_normal(STUCK_N)))
         self.stuck = core.CovariateSet(walk, {"c": core.TimeSeries(0, 60, np.full(STUCK_N, 4.0))})
+        self.delay_labels = (rng.random(DELAY_N) < 0.01).astype(np.int8)
+        self.delay_flags = (rng.random(DELAY_N) < 0.4).astype(np.int8)
+        self.matrix = (rng.random(FLEET) < 0.03).astype(int)
+        self.attributes = [{"device": str(rng.choice(list("abcd"))), "region": str(rng.choice(["eu", "us", "ap"])),
+                            "os": str(rng.choice(["1", "2"]))} for _ in range(FLEET[0])]
         self.layers = {
             **{f"detectors.{m}.update": partial(self.detector, m) for m in METHODS},
             **{f"detectors.spectral_residual.run_streaming_w{w}": partial(self.sr_run, detectors.run_streaming, w)
@@ -129,6 +141,10 @@ class Calls:
                 partial(self.threshold, "trailing_percentile", self.long_ewma_scores),
             "conditional.run_conditional_stuck_covariate": self.stuck_conditional,
             "evaluation.hil_decide": self.hil_decide,
+            "evaluation.detection_delay":
+                partial(evaluation.detection_delay, self.delay_flags, self.delay_labels, 0),
+            "cohort.mine_rules_over_time":
+                partial(cohort.mine_rules_over_time, self.matrix, self.attributes, None, 3),
             "evaluation.run_population": self.run_population,
             "fleet.tick_ewma_k_sigma": self.fleet_tick,
         }
