@@ -212,6 +212,7 @@ def mine_rules_over_time(
     # an interval ends where the step index jumps or the top rule changes
     cuts = [0, *(np.flatnonzero((np.diff(steps) != 1) | (np.diff(top) != 0)) + 1).tolist(), len(steps)]
     return tuple(
-        RuleInterval(int(steps[a]), int(steps[b - 1]) + 1, Rule(terms[top[a]], float(best[a]), int(coverage[top[a]])))
+        RuleInterval(int(steps[a]), int(steps[b - 1]) + 1,
+                     Rule(terms[top[a]], float(best[a]), int(coverage[top[a]])))
         for a, b in zip(cuts, cuts[1:]) if top[a] >= 0
     )

@@ -147,7 +147,8 @@ class ConditionalScorer:
 
 def _order(config: ConditionalConfig, n_covariates: int) -> tuple[int, int]:
     """The regressor count p, the intercept included, and the largest lag."""
-    return 1 + config.ar_order + n_covariates * (1 + config.covariate_lags), max(config.ar_order, config.covariate_lags)
+    ar, lags = config.ar_order, config.covariate_lags
+    return 1 + ar + n_covariates * (1 + lags), max(ar, lags)
 
 
 def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
