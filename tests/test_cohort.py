@@ -300,52 +300,6 @@ def test_timeline_equals_a_per_step_mine_rules_loop(quality, seed):
             assert [iv.rule.score.hex() for iv in got] == [iv.rule.score.hex() for iv in expected]
 
 
-def state_machine_oracle(matrix, attributes, config, min_support):
-    """The former interval loop over the candidate table: one open interval at a
-    time, closed when the step index jumps or the top rule changes, then flushed."""
-    from tadkit.cohort import _candidates, _scores
-
-    anomalous = matrix.astype(bool)
-    positives = anomalous.sum(axis=0)
-    terms, masks, coverage = _candidates(attributes, tuple(sorted(attributes[0])), config)
-    intervals, open_index, open_start, end = [], None, 0, 0
-    for t in np.flatnonzero(positives >= min_support).tolist():
-        scores = _scores(config, masks @ anomalous[:, t], coverage, int(positives[t]))
-        best = int(np.argmax(scores))
-        top = best if scores[best] >= config.min_score else None
-        if open_index is not None and (t != end or top != open_index):
-            intervals.append(RuleInterval(open_start, end, open_rule))
-            open_index = None
-        if top is not None and open_index is None:
-            open_index, open_start = top, t
-            open_rule = Rule(terms[top], float(scores[top]), int(coverage[top]))
-        end = t + 1
-    if open_index is not None:
-        intervals.append(RuleInterval(open_start, end, open_rule))
-    return tuple(intervals)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    series=st.integers(1, 12),
-    steps=st.integers(1, 30),
-    rate=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
-    min_support=st.integers(1, 4),
-    quality=st.sampled_from(["f1", "precision_at_min_recall"]),
-    min_score=st.sampled_from([1e-6, 0.4, 0.8]),
-)
-def test_timeline_equals_the_interval_state_machine(seed, series, steps, rate, min_support, quality, min_score):
-    rng = np.random.default_rng(seed)
-    attributes = _fleet(rng, series, {"d": ("a", "b"), "r": ("eu", "us", "ap")})
-    matrix = (rng.random((series, steps)) < rate).astype(int)
-    config = CohortMinerConfig(min_score=min_score, quality=quality, min_recall=0.4)
-    got = mine_rules_over_time(matrix, attributes, config, min_support)
-    expected = state_machine_oracle(matrix, attributes, config, min_support)
-    assert got == expected
-    assert [iv.rule.score.hex() for iv in got] == [iv.rule.score.hex() for iv in expected]
-
-
 def test_timeline_guardrail_fires_only_when_a_step_is_mined():
     rng = np.random.default_rng(35)
     attributes = [{"u": str(rng.integers(200)), "v": str(rng.integers(200))} for _ in range(300)]
