@@ -401,6 +401,7 @@ class RunReport:
 
 
 _JSON_SCALARS = frozenset({str, int, bool, type(None)})
+_STR_ONLY = frozenset({str})
 
 
 def _jsonable(value):
@@ -484,6 +485,12 @@ def write_report(report: RunReport, out_dir) -> tuple[Path, Path]:
     }
     lines, rows = [encode(meta)], []
     for record in report.records:
+        if (type(record) is dict and _STR_ONLY.issuperset(map(type, record))
+                and _JSON_SCALARS.issuperset(map(type, record.values()))):
+            # str keys and plain scalar values: already its own doc and summary row
+            lines.append(encode(record))
+            rows.append(record)
+            continue
         doc, row = {}, {}
         for key, value in record.items():
             doc[str(key)] = clean = _jsonable(value)

@@ -297,12 +297,12 @@ class DetectorThresholdPolicy:
         return self._detector.warmup
 
     def decide(self, prefix: np.ndarray, log: FeedbackLog) -> int:
-        if len(log) > self._consumed:
-            for index, label in log.since(self._consumed):
-                self._thresholder.feedback(label)
-                self._consumed += 1
-        score = self._detector.update(float(prefix[-1]))
-        return self._thresholder.update(score)
+        entries = log._entries  # read once: most steps bring no new entry
+        while self._consumed < len(entries):
+            self._thresholder.feedback(entries[self._consumed][1])
+            self._consumed += 1
+        # item() hands over a Python float, so a NaN's InputError reads "got nan"
+        return self._thresholder.update(self._detector.update(prefix.item(-1)))
 
 
 def run_hil(
@@ -323,15 +323,16 @@ def run_hil(
     lab = as_label_array(labels, len(values))
     log = FeedbackLog()
     truth, decisions = lab.tolist(), []
+    decide, record = policy.decide, log.record
     for t in range(len(values)):
-        decision = policy.decide(values[: t + 1], log)
+        decision = decide(values[: t + 1], log)
         if decision not in (0, 1):
             raise ProtocolError(f"policy returned {decision!r}, expected 0 or 1")
         decisions.append(decision)
         if decision == 1:
-            log.record(t, truth[t])
+            record(t, truth[t])
     pred = np.array(decisions, dtype=np.int8)
-    if log.indices() != tuple(np.nonzero(pred == 1)[0]):
+    if log.indices() != tuple(np.flatnonzero(pred).tolist()):
         raise ProtocolError("feedback log out of sync with flagged points")
     warmup = int(policy.warmup)
     return _build_report("hil", pred, lab, loss, warmup, max_delay), log
