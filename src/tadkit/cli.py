@@ -473,6 +473,8 @@ def write_report(report: RunReport, out_dir) -> tuple[Path, Path]:
 
     Each record's values are made JSON-safe once; the summary row keeps the
     ones that were not lists, tuples or dicts, under the record's own keys.
+    A dict record with only str keys and str, int, bool or None values is
+    already both, so it is encoded and kept as it is.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -487,7 +489,7 @@ def write_report(report: RunReport, out_dir) -> tuple[Path, Path]:
     for record in report.records:
         if (type(record) is dict and _STR_ONLY.issuperset(map(type, record))
                 and _JSON_SCALARS.issuperset(map(type, record.values()))):
-            # str keys and plain scalar values: already its own doc and summary row
+            # other key types go below: str(True) is "True" where json writes true
             lines.append(encode(record))
             rows.append(record)
             continue

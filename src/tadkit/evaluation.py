@@ -297,7 +297,7 @@ class DetectorThresholdPolicy:
         return self._detector.warmup
 
     def decide(self, prefix: np.ndarray, log: FeedbackLog) -> int:
-        entries = log._entries  # read once: most steps bring no new entry
+        entries = log._entries  # the list itself, without a len(log) call and a since() copy per step
         while self._consumed < len(entries):
             self._thresholder.feedback(entries[self._consumed][1])
             self._consumed += 1

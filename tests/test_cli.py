@@ -1,6 +1,7 @@
 """CSV ingestion, report writing, and the `tad` command surface."""
 
 import csv
+import enum
 import json
 import math
 import types
@@ -43,6 +44,7 @@ from tadkit.core import (
     CovariateSet,
     EventStream,
     FormatError,
+    INT64_MAX,
     InputError,
     LabelSequence,
     OrderingError,
@@ -943,6 +945,11 @@ def oracle_write_report(report, out_dir):
     return jsonl, summary
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
 _REPORT_RECORDS = {
     "non_finite": ({"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "in_list": [math.nan, -math.inf, 1.5]},),
     "numpy_scalars": (
@@ -967,6 +974,23 @@ _REPORT_RECORDS = {
     "mapping_values": ({"proxy": types.MappingProxyType({"b": 1, "a": math.nan}), "plain": 1},),
     "mapping_records": (types.MappingProxyType({"record": "proxy", "v": 1.5}), {"record": "dict"}),
     "empty": (),
+    # str keys and str, int, bool or None values: the writer's direct path
+    "plain_scalars": (
+        {"record": "feedback", "t": 7, "label": 1},
+        {"s": "x\ny", "big": -(2**70), "yes": True, "no": False, "none": None, "empty": "", "zero": 0},
+    ),
+    # the same values under keys that are not str: json would write true and null
+    # where str() writes True and None, so these must take the general path
+    "plain_values_under_non_str_keys": (
+        {1: "int key", "t": 2},
+        {True: 1, "label": False},
+        {None: None, "record": "none key"},
+    ),
+    "int_subclass": ({"record": "level", "level": _Level.HIGH, "t": 3},),
+    "feedback_after_a_float": (
+        {"record": "hil", "regret": math.inf, "precision": math.nan, "recall": 0.5},
+        *({"record": "feedback", "t": t, "label": t % 2} for t in range(5)),
+    ),
 }
 
 
@@ -1685,26 +1709,35 @@ def _declared(param, task):
 
 _WRONG_TYPED = st.sampled_from(["x", True, 2.5, None, [1], float("nan")])
 @pytest.fixture(scope="module")
-def drawn_files(tmp_path_factory):
-    """Per task, strategies for the keys that name files or columns: small inputs each run reads."""
+def valid_inputs(tmp_path_factory):
+    """Per task, the keys that name files: small valid inputs each run reads."""
     root = tmp_path_factory.mktemp("drawn")
-    series = {"input": st.just(str(_make_input(root)))}
+    series = {"input": str(_make_input(root))}
     rows = "".join(f"{60 * i},{math.sin(i / 5)!r},{i % 7}\n" for i in range(80))
     covariates = str(_write(root / "covariates.csv", "timestamp,a,b\n" + rows))
     matrix = _write(root / "matrix.csv", "series_id,t0,t1,t2\n" + "".join(
         f"s{i},{int(i < 3)},{int(i % 2 == 0)},{int(i == 1)}\n" for i in range(6)))
     attributes = _write(root / "attr.csv", "series_id,device,region\n" + "".join(
         f"s{i},{'ab'[i % 2]},{'xyz'[i % 3]}\n" for i in range(6)))
-    common = {"out": st.just("overridden-by-the-flag"), "labels": st.none()}
     return {
-        "detect": {**common, **series},
-        "evaluate": {**common, **series},
-        "hil": {**common, **series},
-        "datagen": common,
-        "resample": {**common, **series},
-        "conditional": {**common, "input": st.just(covariates), "target": st.sampled_from([None, "a", "b", "x"])},
-        "cohort": {**common, "matrix": st.just(str(matrix)), "attributes": st.just(str(attributes))},
+        "detect": series,
+        "evaluate": series,
+        "hil": series,
+        "datagen": {},
+        "resample": series,
+        "conditional": {"input": covariates},
+        "cohort": {"matrix": str(matrix), "attributes": str(attributes)},
     }
+
+
+@pytest.fixture(scope="module")
+def drawn_files(valid_inputs):
+    """Per task, strategies for the keys that name files or columns."""
+    common = {"out": st.just("overridden-by-the-flag"), "labels": st.none()}
+    drawn = {task: {**common, **{key: st.just(path) for key, path in files.items()}}
+             for task, files in valid_inputs.items()}
+    drawn["conditional"]["target"] = st.sampled_from([None, "a", "b", "x"])
+    return drawn
 
 
 @pytest.mark.parametrize("task", ["detect", "evaluate", "hil", "datagen", "resample", "conditional", "cohort"])
@@ -1730,6 +1763,26 @@ def test_any_config_document_runs_or_gives_one_json_error(drawn_files, task, dat
         result = CliRunner().invoke(
             main, [task, "--config", str(config), "--out", str(Path(scratch) / "out")]
         )
+    if result.exit_code != 0:
+        assert result.exit_code == 2, repr(result.exception)
+        (line,) = result.stderr.splitlines()
+        assert set(json.loads(line)) == {"error", "task", "module", "message"}
+
+
+_INT64_MAX_KEYS = [
+    (task, key)
+    for task in ("detect", "evaluate", "hil", "resample", "conditional", "cohort")
+    for key, param in TASK_PARAMS[task].items()
+    if param.range is not None and param.range.hi == INT64_MAX and int in (get_args(param.type) or (param.type,))
+]
+
+
+@pytest.mark.parametrize("task, key", _INT64_MAX_KEYS, ids=[f"{t}-{k}" for t, k in _INT64_MAX_KEYS])
+def test_int64_maximum_alone_runs_or_gives_one_json_error(runner, valid_inputs, tmp_path, task, key):
+    # the fuzz above draws this end only now and then; here every such key gets it once
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**valid_inputs[task], key: INT64_MAX}))
+    result = runner.invoke(main, [task, "--config", str(config), "--out", str(tmp_path / "out")])
     if result.exit_code != 0:
         assert result.exit_code == 2, repr(result.exception)
         (line,) = result.stderr.splitlines()

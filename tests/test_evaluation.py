@@ -12,7 +12,7 @@ from tadkit.core import (
     SpecError,
     TimeSeries,
 )
-from tadkit.detectors import DetectorConfig, run_streaming
+from tadkit.detectors import DetectorConfig, make_detector, run_streaming
 from tadkit.evaluation import (
     AlwaysFlagPolicy,
     DetectorThresholdPolicy,
@@ -27,7 +27,7 @@ from tadkit.evaluation import (
     run_population,
     score_and_decide,
 )
-from tadkit.thresholds import Thresholder, ThresholdSpec
+from tadkit.thresholds import KINDS, Thresholder, ThresholdSpec
 
 
 def _series(values):
@@ -228,6 +228,73 @@ class TestRunHil:
         spec = ThresholdSpec(kind="k_sigma", k=3.0)
         report, log = run_hil(DetectorThresholdPolicy(config, spec), series, labels)
         assert len(log) == report.alert_count
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_detector_policy_decides_as_a_direct_update_and_feedback_loop(self, kind):
+        # spikes every 9 points, half of them labelled, so feedback carries both labels
+        series, labels = _spiky(n=400, seed=5, spikes=range(20, 400, 9))
+        labels[20::18] = 0
+        config = DetectorConfig(method="ewma_residual")
+        spec = ThresholdSpec(kind=kind, value=2.0, percentile=0.9, k=2.0, up=1.05, down=0.9, horizon=50)
+        seen = []
+
+        class Recorded(DetectorThresholdPolicy):
+            def decide(self, prefix, log):
+                seen.append(super().decide(prefix, log))
+                return seen[-1]
+
+        report, log = run_hil(Recorded(config, spec), series, labels)
+        detector, thresholder = make_detector(config), Thresholder(spec)
+        direct = []
+        for t, x in enumerate(series.values.tolist()):
+            direct.append(thresholder.update(detector.update(x)))
+            if direct[-1] == 1:
+                thresholder.feedback(int(labels[t]))
+        assert seen == direct
+        assert log.indices() == tuple(t for t, d in enumerate(direct) if d == 1)
+        assert {label for _, label in log.entries} == {0, 1}
+        assert report.alert_count == sum(direct) > 10
+
+    def test_a_non_finite_value_reaches_the_detector_as_a_python_float(self):
+        values = np.zeros(20)
+        values[7] = np.nan
+        policy = DetectorThresholdPolicy(DetectorConfig(method="ewma_residual"), ThresholdSpec())
+        with pytest.raises(InputError, match=r"must be finite, got nan$"):
+            run_hil(policy, _series(values), np.zeros(20, dtype=int))
+
+    @pytest.mark.parametrize("answer", [0, 1], ids=["unflagged", "flagged"])
+    def test_a_policy_that_writes_the_log_itself_is_refused(self, answer):
+        class Forger:
+            warmup = 0
+
+            def decide(self, prefix, log):
+                t = len(prefix) - 1
+                if t == 4:
+                    log.record(t, 0)  # the harness alone reveals labels
+                return answer if t == 4 else 0
+
+        with pytest.raises(ProtocolError):
+            run_hil(Forger(), _series(np.zeros(10)), np.zeros(10, dtype=int))
+
+    @pytest.mark.parametrize(
+        "yes, no", [(True, False), (np.int8(1), np.int8(0)), (np.bool_(True), np.bool_(False))],
+        ids=["bool", "int8", "numpy_bool"],
+    )
+    def test_any_integral_zero_or_one_answer_gives_the_same_report(self, yes, no):
+        class EveryFifth:
+            warmup = 2
+
+            def __init__(self, one, zero):
+                self.one, self.zero = one, zero
+
+            def decide(self, prefix, log):
+                return self.one if len(prefix) % 5 == 0 else self.zero
+
+        series, labels = _spiky(n=60, spikes=(9, 10, 30))
+        report, log = run_hil(EveryFifth(yes, no), series, labels, max_delay=3)
+        want_report, want_log = run_hil(EveryFifth(1, 0), series, labels, max_delay=3)
+        assert report == want_report and report.alert_count == 12
+        assert log.entries == want_log.entries
 
 
 def _manual_report_fields(pred, labels, warmup, fn_cost, fp_cost):

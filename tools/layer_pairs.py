@@ -24,6 +24,12 @@ commits resolve too:
   walk whose one covariate is stuck at 4.0;
 - ``DetectorThresholdPolicy.decide`` in an interactive loop, EWMA under
   ``feedback_adaptive``, with feedback on every flagged point;
+- ``run_hil`` over 10,000 points in hil_feedback's shape (period 96, 1% of
+  the points spiked and labelled), EWMA under ``feedback_adaptive`` with up
+  1.0005 and down 0.98, which flags about 40% of them, per point;
+- ``write_report`` of that run's report, one ``hil`` record and a
+  ``feedback`` record per flagged point, into a temporary directory, per
+  record;
 - ``detection_delay`` over 10,000 points in hil_feedback's shape: about 1%
   of the points labelled, one by one, and 40% flagged;
 - ``mine_rules_over_time`` over an 80 x 1,000 anomaly matrix, 3% anomalous,
@@ -49,6 +55,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 from time import perf_counter_ns
@@ -63,6 +70,7 @@ FLEET = (80, 1000)  # series, ticks
 FULL_RESERVOIR_N = 20_000  # EWMA scores, past the default 4,096-score reservoir
 STUCK_N = 40_000  # points of the stuck-covariate conditional run
 DELAY_N = 10_000  # points of the detection-delay input
+HIL_N, HIL_PERIOD = 10_000, 96  # hil_feedback's series
 
 METHODS = ("spectral_residual", "ewma_residual", "left_discord", "kmeans_window")
 KINDS = ("fixed_value", "trailing_percentile", "k_sigma", "feedback_adaptive")
@@ -77,6 +85,8 @@ LAYERS = {
     "thresholds.trailing_percentile.update_full_reservoir": ("us/pt", FULL_RESERVOIR_N),
     "conditional.run_conditional_stuck_covariate": ("us/pt", STUCK_N),
     "evaluation.hil_decide": ("us/pt", N),
+    "evaluation.run_hil": ("us/pt", HIL_N),
+    "cli.write_report": ("us/record", None),  # the divisor is the report's record count
     "evaluation.detection_delay": ("us/pt", DELAY_N),
     "cohort.mine_rules_over_time": ("ms/call", 1_000),
     "evaluation.run_population": ("us/pt", FLEET[0] * FLEET[1]),
@@ -103,7 +113,7 @@ class Calls:
 
     def __init__(self):
         import numpy as np
-        from tadkit import cohort, conditional, core, detectors, evaluation, thresholds
+        from tadkit import cli, cohort, conditional, core, detectors, evaluation, thresholds
 
         self.det, self.ev, self.thr, self.cond, self.cohort = detectors, evaluation, thresholds, conditional, cohort
         rng = np.random.default_rng(SEED)
@@ -131,6 +141,18 @@ class Calls:
         self.matrix = (rng.random(FLEET) < 0.03).astype(int)
         self.attributes = [{"device": str(rng.choice(list("abcd"))), "region": str(rng.choice(["eu", "us", "ap"])),
                             "os": str(rng.choice(["1", "2"]))} for _ in range(FLEET[0])]
+        hil_values = np.sin(2 * np.pi * np.arange(HIL_N) / HIL_PERIOD) + 0.3 * rng.standard_normal(HIL_N)
+        hil_spikes = rng.random(HIL_N) < 0.01
+        hil_values[hil_spikes] += 4.0
+        self.hil_series, self.hil_labels = core.TimeSeries(0, 60, hil_values), hil_spikes.astype(np.int8)
+        report, log = self.run_hil()
+        records = [{**asdict(report), "record": "hil", "input": "series_0000.csv"}]
+        records += [{"record": "feedback", "t": t, "label": label} for t, label in log.entries]
+        self.report = cli.RunReport(config={"task": "hil", "seed": SEED}, environment={"package": "tadkit"},
+                                    records=tuple(records), timings={"wall_s": 0.0})
+        self.report_dir = tempfile.TemporaryDirectory(prefix="tadkit-layer-pairs-report-")
+        self.units = {layer: count for layer, (_, count) in LAYERS.items()}
+        self.units["cli.write_report"] = len(records)
         self.layers = {
             **{f"detectors.{m}.update": partial(self.detector, m) for m in METHODS},
             **{f"detectors.spectral_residual.run_streaming_w{w}": partial(self.sr_run, detectors.run_streaming, w)
@@ -141,6 +163,8 @@ class Calls:
                 partial(self.threshold, "trailing_percentile", self.long_ewma_scores),
             "conditional.run_conditional_stuck_covariate": self.stuck_conditional,
             "evaluation.hil_decide": self.hil_decide,
+            "evaluation.run_hil": self.run_hil,
+            "cli.write_report": partial(cli.write_report, self.report, self.report_dir.name),
             "evaluation.detection_delay":
                 partial(evaluation.detection_delay, self.delay_flags, self.delay_labels, 0),
             "cohort.mine_rules_over_time":
@@ -177,6 +201,13 @@ class Calls:
             if policy.decide(values[: t + 1], log) == 1:
                 log.record(t, labels[t])
 
+    def run_hil(self):
+        policy = self.ev.DetectorThresholdPolicy(
+            self.det.DetectorConfig(method="ewma_residual"),
+            self.thr.ThresholdSpec(kind="feedback_adaptive", value=1.0, up=1.0005, down=0.98),
+        )
+        return self.ev.run_hil(policy, self.hil_series, self.hil_labels)
+
     def run_population(self) -> None:
         self.ev.run_population(
             self.det.DetectorConfig(method="ewma_residual"),
@@ -192,8 +223,8 @@ class Calls:
             step = [(d.update(x), th) for (d, th), x in zip(members, column)]
             [th.update(score) for score, th in step]
 
-    def run(self, layer: str, calls: int) -> int:
-        """The fastest of ``calls`` calls of ``layer``, in ns."""
+    def run(self, layer: str, calls: int) -> float:
+        """The fastest of ``calls`` calls of ``layer``, in ns per unit of ``LAYERS``."""
         fn = self.layers[layer]
         best = None
         for _ in range(calls):
@@ -201,11 +232,11 @@ class Calls:
             fn()
             took = perf_counter_ns() - start
             best = took if best is None else min(best, took)
-        return best
+        return best / self.units[layer]
 
 
 def worker() -> int:
-    """Answer ``<layer> <calls>`` lines with the fastest call in ns, until EOF."""
+    """Answer ``<layer> <calls>`` lines with the fastest call in ns per unit, until EOF."""
     calls = Calls()
     for line in sys.stdin:
         layer, count = line.split()
@@ -219,13 +250,13 @@ def start_worker(src: Path) -> subprocess.Popen:
                             env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
 
-def ask(proc: subprocess.Popen, layer: str, calls: int) -> int:
+def ask(proc: subprocess.Popen, layer: str, calls: int) -> float:
     proc.stdin.write(f"{layer} {calls}\n")
     proc.stdin.flush()
     answer = proc.stdout.readline()
     if not answer:
         raise RuntimeError(f"worker exited while timing {layer}")
-    return int(answer)
+    return float(answer)
 
 
 def main(argv=None) -> int:
@@ -245,7 +276,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
                 for layer in layers:
                     for side in order:
-                        times[layer][side].append(ask(procs[side], layer, args.calls) / LAYERS[layer][1] / 1e3)
+                        times[layer][side].append(ask(procs[side], layer, args.calls) / 1e3)
         finally:
             for proc in procs.values():
                 proc.stdin.close()
