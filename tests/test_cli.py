@@ -1770,18 +1770,23 @@ def test_any_config_document_runs_or_gives_one_json_error(drawn_files, task, dat
 
 
 _INT64_MAX_KEYS = [
-    (task, key)
+    (task, key, method)
     for task in ("detect", "evaluate", "hil", "resample", "conditional", "cohort")
     for key, param in TASK_PARAMS[task].items()
     if param.range is not None and param.range.hi == INT64_MAX and int in (get_args(param.type) or (param.type,))
+    # a detector's size only allocates under the method that reads it
+    for method in (METHODS if key in field_specs(DetectorConfig) else (None,))
 ]
 
 
-@pytest.mark.parametrize("task, key", _INT64_MAX_KEYS, ids=[f"{t}-{k}" for t, k in _INT64_MAX_KEYS])
-def test_int64_maximum_alone_runs_or_gives_one_json_error(runner, valid_inputs, tmp_path, task, key):
+@pytest.mark.parametrize(
+    "task, key, method", _INT64_MAX_KEYS, ids=["-".join(filter(None, case)) for case in _INT64_MAX_KEYS]
+)
+def test_int64_maximum_alone_runs_or_gives_one_json_error(runner, valid_inputs, tmp_path, task, key, method):
     # the fuzz above draws this end only now and then; here every such key gets it once
+    doc = {**valid_inputs[task], key: INT64_MAX, **({"method": method} if method else {})}
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({**valid_inputs[task], key: INT64_MAX}))
+    config.write_text(json.dumps(doc))
     result = runner.invoke(main, [task, "--config", str(config), "--out", str(tmp_path / "out")])
     if result.exit_code != 0:
         assert result.exit_code == 2, repr(result.exception)
