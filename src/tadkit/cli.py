@@ -10,8 +10,8 @@ keep runs reproducible and diff-friendly:
   is echoed into the report, so any report can be re-run from its own meta
   record.
 - Timestamps are serialized as integer epoch seconds.
-- Reports are ``report.jsonl`` (one JSON object per line, keys sorted) plus
-  ``summary.csv``.  Wall-clock numbers live only under the keys named in
+- Reports are ``report.jsonl``: one JSON object per line, keys sorted.
+  Wall-clock numbers live only under the keys named in
   :data:`TIMING_FIELDS`; stripping those keys makes two runs of the same
   config byte-comparable.
 """
@@ -468,13 +468,12 @@ def _encoder() -> Callable[[Any], str]:
     return lambda doc: "".join(iterencode(doc, 0))
 
 
-def write_report(report: RunReport, out_dir) -> tuple[Path, Path]:
-    """Persist ``report.jsonl`` (meta line first) and ``summary.csv``.
+def write_report(report: RunReport, out_dir) -> Path:
+    """Persist ``report.jsonl``: the meta line, then one line per record.
 
-    Each record's values are made JSON-safe once; the summary row keeps the
-    ones that were not lists, tuples or dicts, under the record's own keys.
-    A dict record with only str keys and str, int, bool or None values is
-    already both, so it is encoded and kept as it is.
+    Each record's values are made JSON-safe once.  A dict record with only
+    str keys and str, int, bool or None values is already JSON-safe, so it
+    is encoded as it is.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -485,35 +484,19 @@ def write_report(report: RunReport, out_dir) -> tuple[Path, Path]:
         "environment": _jsonable(report.environment),
         "timings": _jsonable(report.timings),
     }
-    lines, rows = [encode(meta)], []
+    lines = [encode(meta)]
     for record in report.records:
         if (type(record) is dict and _STR_ONLY.issuperset(map(type, record))
                 and _JSON_SCALARS.issuperset(map(type, record.values()))):
             # other key types go below: str(True) is "True" where json writes true
             lines.append(encode(record))
-            rows.append(record)
-            continue
-        doc, row = {}, {}
-        for key, value in record.items():
-            doc[str(key)] = clean = _jsonable(value)
-            if not isinstance(value, (list, tuple, dict)):
-                row[key] = clean
-        lines.append(encode(doc))
-        rows.append(row)
+        else:
+            lines.append(encode({str(key): _jsonable(value) for key, value in record.items()}))
     lines.append("")  # the last line ends with a newline too
     jsonl = out_dir / "report.jsonl"
     with open(jsonl, "w") as handle:
         handle.write("\n".join(lines))
-
-    summary = out_dir / "summary.csv"
-    fieldnames = list(dict.fromkeys(k for row in rows for k in row))
-    with open(summary, "w", newline="") as handle:
-        if rows:
-            writer = csv.writer(handle)
-            writer.writerow(fieldnames)
-            blanks = [""] * len(fieldnames)
-            writer.writerows(map(row.get, fieldnames, blanks) for row in rows)
-    return jsonl, summary
+    return jsonl
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +855,8 @@ TASK_PARAMS: dict[str, dict[str, Param]] = {
     task: {param.key: param for param in (*_bound(ExperimentConfig), *params)}
     for task, params in {
         "datagen": (
-            Param("n_series", int, 10, help="Series to write.", range=Range(1, INT64_MAX)),
+            # four-digit file names stay in order
+            Param("n_series", int, 10, help="Series to write.", range=Range(1, 10_000)),
             *_bound(PeriodicGeneratorConfig),
             *_bound(InjectionConfig),
         ),
@@ -1005,10 +989,10 @@ def _execute(task: str, config: str | None, **flags: str | None) -> None:
         )
         with np.errstate(all="ignore"):  # an overflow surfaces as an InputError, not a warning
             report = run_experiment(experiment)
-        jsonl, summary = write_report(report, experiment.out)
+        jsonl = write_report(report, experiment.out)
     except (TadError, OSError) as err:
         _emit_error(task, err)
-    click.echo(f"{task}: {len(report.records)} records -> {jsonl} and {summary}")
+    click.echo(f"{task}: {len(report.records)} records -> {jsonl}")
     for record in report.records:
         if record.get("record") == "method":
             click.echo(

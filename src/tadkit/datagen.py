@@ -15,6 +15,7 @@ fixed probability and returns the replacement mask as labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,10 @@ __all__ = [
     "generate_periodic",
     "inject_point_anomalies",
 ]
+
+# One series is held whole, with about eight float arrays and its CSV text
+# beside it: about 200 MB at this length.
+_MAX_LENGTH = 10**6
 
 
 def series_rng(base_seed: int, index: int) -> np.random.Generator:
@@ -68,16 +73,17 @@ class PeriodicGeneratorConfig:
     seed: int = 0
     start: int = declared(0, Range(INT64_MIN, INT64_MAX))
     interval: int = declared(60, Range(1, INT64_MAX))
-    fixed_length: int | None = declared(None, Range(60, INT64_MAX))  # at least 60, so a valid period exists
+    fixed_length: int | None = declared(None, Range(60, _MAX_LENGTH))  # at least 60, so a valid period exists
     fixed_period: int | None = declared(None, Range(3, INT64_MAX, open_lo=True))
     include_walk: bool = True
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name, floor in (("length_range", 60), ("noise_strength_range", 0), ("period_strength_range", 0)):
+        for name, floor, ceiling in (("length_range", 60, _MAX_LENGTH), ("noise_strength_range", 0, math.inf),
+                                     ("period_strength_range", 0, math.inf)):
             lo, hi = getattr(self, name)
-            if lo < floor or hi < lo:
-                raise SpecError(f"{name} must satisfy {floor} <= lo <= hi, got {(lo, hi)}")
+            if not floor <= lo <= hi <= ceiling:
+                raise SpecError(f"{name} must satisfy {floor} <= lo <= hi <= {ceiling}, got {(lo, hi)}")
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,8 @@ class _SaliencyKernel:
         self._m = m = _pad_count(n, pad_points)
         self._steps = np.arange(1.0, m + 1)
         self._ma_kernel = np.ones(ma_width)
-        self._ma_denominator = _moving_sums(np.ones(n + m), self._ma_kernel)
+        # term counts, exact in any order, so one np.convolve gives the bits _moving_sums would
+        self._ma_denominator = np.convolve(np.ones(n + m), self._ma_kernel, "same")
         # flat, so that a 1-D window and a block of rows view them alike
         size = rows * (n + m)
         self._scratch = (np.zeros(size, dtype=np.complex128), np.empty(size, dtype=np.complex128),

@@ -930,19 +930,7 @@ def oracle_write_report(report, out_dir):
         handle.write(encode(meta) + "\n")
         for record in report.records:
             handle.write(encode(_jsonable(record)) + "\n")
-
-    summary = out_dir / "summary.csv"
-    rows = [
-        {k: _jsonable(v) for k, v in record.items() if not isinstance(v, (list, tuple, dict))}
-        for record in report.records
-    ]
-    fieldnames = list(dict.fromkeys(k for row in rows for k in row))
-    with open(summary, "w", newline="") as handle:
-        if rows:
-            writer = csv.writer(handle)
-            writer.writerow(fieldnames)
-            writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
-    return jsonl, summary
+    return jsonl
 
 
 class _Level(enum.IntEnum):
@@ -1007,9 +995,9 @@ def test_report_writer_matches_the_per_line_writer(tmp_path, monkeypatch, name, 
     )
     written = write_report(report, tmp_path / "change")
     expected = oracle_write_report(report, tmp_path / "oracle")
-    for got, want in zip(written, expected):
-        assert got.name == want.name
-        assert got.read_bytes() == want.read_bytes(), got.name
+    assert written.name == expected.name
+    assert written.read_bytes() == expected.read_bytes()
+    assert [p.name for p in (tmp_path / "change").iterdir()] == ["report.jsonl"]
 
 
 def test_strip_timings_removes_nested_wall_clock_keys():
@@ -1078,7 +1066,8 @@ def test_datagen_writes_series_and_a_report(runner, tmp_path):
     for rec in series_records:
         series = load_series_csv(out / rec["file"])
         assert len(series.values) == rec["n"]
-    assert (out / "summary.csv").is_file()
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(["report.jsonl", *(rec["file"] for rec in series_records)])
 
 
 def test_detect_writes_scores_aligned_with_the_input(runner, tmp_path):
@@ -1526,7 +1515,21 @@ def test_sizes_past_int64_give_one_json_error_line(runner, tmp_path, flags):
     assert result.exit_code == 2, repr(result.exception)
     (line,) = result.stderr.splitlines()
     payload = json.loads(line)
-    assert payload["error"] == "SpecError" and "int64 max" in payload["message"]
+    # datagen's length stops at its own bound, below int64's maximum
+    assert payload["error"] == "SpecError" and ("int64 max" in payload["message"]) != (flags[0] == "datagen")
+
+
+@pytest.mark.parametrize("flag, bound", [("--length", 10**6), ("--n-series", 10_000)])
+@pytest.mark.parametrize("past", ["one_past", "int64_max"])
+def test_datagen_refuses_a_size_past_its_bound_before_the_first_file(runner, tmp_path, flag, bound, past):
+    out = tmp_path / "out"
+    value = bound + 1 if past == "one_past" else INT64_MAX
+    result = runner.invoke(main, ["datagen", flag, str(value), "--out", str(out)])
+    assert result.exit_code == 2, repr(result.exception)
+    (line,) = result.stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "SpecError" and f", {bound}]" in payload["message"]
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("method", ["spectral_residual", "left_discord", "kmeans_window"])
@@ -1688,8 +1691,9 @@ def test_any_report_replays_from_its_own_meta_record(runner, tmp_path, task, fla
 def _declared(param, task):
     """Values for ``param`` from its declaration: the low end and one below it,
     small values inside, the high end and one past it, and a bogus choice.
-    Datagen's high ends are never drawn: its ``length`` and ``n_series`` take
-    any size up to int64's maximum, so a run would try to allocate it."""
+    Datagen's high ends are never drawn: even inside their bounds, its
+    ``length`` and ``n_series`` would make one example write 10,000 files
+    or ten series of a million points."""
     kinds = get_args(param.type) or (param.type,)
     options = [st.none()] if type(None) in kinds else []
     if param.choices:
@@ -1771,7 +1775,7 @@ def test_any_config_document_runs_or_gives_one_json_error(drawn_files, task, dat
 
 _INT64_MAX_KEYS = [
     (task, key, method)
-    for task in ("detect", "evaluate", "hil", "resample", "conditional", "cohort")
+    for task in ("detect", "evaluate", "hil", "datagen", "resample", "conditional", "cohort")
     for key, param in TASK_PARAMS[task].items()
     if param.range is not None and param.range.hi == INT64_MAX and int in (get_args(param.type) or (param.type,))
     # a detector's size only allocates under the method that reads it
