@@ -1,5 +1,6 @@
 """Thresholder strategies against brute-force reference computations."""
 
+import math
 import pickle
 import struct
 import warnings
@@ -424,3 +425,33 @@ def test_each_kind_decides_against_the_threshold_read_just_before(kind):
                 flagged += 1
                 thr.feedback(t % 2)
         assert flagged > 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ThresholdSpec(kind="fixed_value", value=2.0),
+        ThresholdSpec(kind="feedback_adaptive", value=2.0),
+        ThresholdSpec(kind="k_sigma", k=3.0),
+        ThresholdSpec(kind="trailing_percentile", percentile=0.9, reservoir_size=16, seed=3),
+        ThresholdSpec(kind="trailing_percentile", percentile=0.9, horizon=20),
+    ],
+    ids=["fixed_value", "feedback_adaptive", "k_sigma", "trailing_percentile_reservoir",
+         "trailing_percentile_horizon"],
+)
+def test_a_score_at_the_threshold_decides_against_the_threshold_read_just_before(spec):
+    # drawn scores seldom land between two nearby thresholds; these sit on each one
+    drawn = np.random.default_rng(26).exponential(1.0, size=400).tolist()
+    thr, placed = Thresholder(spec), 0
+    for t, base in enumerate(drawn):
+        before = thr.threshold
+        if math.isfinite(before):
+            score = (math.nextafter(before, math.inf), before, math.nextafter(before, -math.inf))[placed % 3]
+            placed += 1
+        else:
+            score = base
+        decision = thr.update(score)
+        assert decision == int(score > before), (t, score, before)
+        if decision == 1:
+            thr.feedback(t % 2)
+    assert placed > 300

@@ -30,6 +30,8 @@ commits resolve too:
 - ``write_report`` of that run's report, one ``hil`` record and a
   ``feedback`` record per flagged point, into a temporary directory, per
   record;
+- ``write_report`` of a ``tad resample`` run's one-record report, each call
+  into a new directory, as each of fleet_cohort's runs writes it, per call;
 - ``detection_delay`` over 10,000 points in hil_feedback's shape: about 1%
   of the points labelled, one by one, and 40% flagged;
 - ``mine_rules_over_time`` over an 80 x 1,000 anomaly matrix, 3% anomalous,
@@ -50,6 +52,7 @@ runs on one machine.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import statistics
 import subprocess
@@ -87,6 +90,7 @@ LAYERS = {
     "evaluation.hil_decide": ("us/pt", N),
     "evaluation.run_hil": ("us/pt", HIL_N),
     "cli.write_report": ("us/record", None),  # the divisor is the report's record count
+    "cli.write_report_one_record": ("us/call", 1),
     "evaluation.detection_delay": ("us/pt", DELAY_N),
     "cohort.mine_rules_over_time": ("ms/call", 1_000),
     "evaluation.run_population": ("us/pt", FLEET[0] * FLEET[1]),
@@ -151,6 +155,14 @@ class Calls:
         self.report = cli.RunReport(config={"task": "hil", "seed": SEED}, environment={"package": "tadkit"},
                                     records=tuple(records), timings={"wall_s": 0.0})
         self.report_dir = tempfile.TemporaryDirectory(prefix="tadkit-layer-pairs-report-")
+        record = {"record": "resample", "file": "resampled.csv", "n_events": 1000, "n_bins": 1000,
+                  "missing_bins": 0, "start": 0, "interval": 3600, "aggregation": "mean", "policy": "missing"}
+        config = {"task": "resample", "seed": SEED, "out": "out/resample_00", "input": "inputs/events_00.csv",
+                  "interval": 3600, "agg": "mean", "policy": "missing", "anchor": None, "max_carry": None}
+        self.one_record = cli.RunReport(config=config,
+                                        environment={"package": "tadkit"}, records=(record,),
+                                        timings={"wall_s": 0.0})
+        self.one_record_dirs = (Path(self.report_dir.name) / f"run_{i}" for i in itertools.count())
         self.units = {layer: count for layer, (_, count) in LAYERS.items()}
         self.units["cli.write_report"] = len(records)
         self.layers = {
@@ -165,6 +177,7 @@ class Calls:
             "evaluation.hil_decide": self.hil_decide,
             "evaluation.run_hil": self.run_hil,
             "cli.write_report": partial(cli.write_report, self.report, self.report_dir.name),
+            "cli.write_report_one_record": lambda: cli.write_report(self.one_record, next(self.one_record_dirs)),
             "evaluation.detection_delay":
                 partial(evaluation.detection_delay, self.delay_flags, self.delay_labels, 0),
             "cohort.mine_rules_over_time":
