@@ -159,8 +159,7 @@ class Calls:
                   "missing_bins": 0, "start": 0, "interval": 3600, "aggregation": "mean", "policy": "missing"}
         config = {"task": "resample", "seed": SEED, "out": "out/resample_00", "input": "inputs/events_00.csv",
                   "interval": 3600, "agg": "mean", "policy": "missing", "anchor": None, "max_carry": None}
-        self.one_record = cli.RunReport(config=config,
-                                        environment={"package": "tadkit"}, records=(record,),
+        self.one_record = cli.RunReport(config=config, environment={"package": "tadkit"}, records=(record,),
                                         timings={"wall_s": 0.0})
         self.one_record_dirs = (Path(self.report_dir.name) / f"run_{i}" for i in itertools.count())
         self.units = {layer: count for layer, (_, count) in LAYERS.items()}
