@@ -63,7 +63,7 @@ from .datagen import InjectionConfig, PeriodicGeneratorConfig, generate_periodic
 from .detectors import DetectorConfig
 from .evaluation import (DetectorThresholdPolicy, LossSpec, evaluate_batch, evaluate_streaming, run_hil,
                          score_and_decide)
-from .periodicity import DEFAULT_METHODS, PERMUTATIONS, run_period_benchmark
+from .periodicity import BENCH_SERIES, DEFAULT_METHODS, PERMUTATIONS, run_period_benchmark
 from .resample import ResampleSpec, resample
 from .thresholds import ThresholdSpec
 
@@ -868,7 +868,7 @@ TASK_PARAMS: dict[str, dict[str, Param]] = {
         "evaluate": _LABELED,
         "hil": tuple(param for param in _LABELED if param.key != "protocol"),
         "bench-period": (
-            Param("n_series", int, 1000, help="Generator draws to score.", range=Range(1, INT64_MAX)),
+            Param("n_series", int, 1000, help="Generator draws to score.", range=BENCH_SERIES),
             Param("methods", str, ",".join(DEFAULT_METHODS), help="Comma-separated period methods."),
             Param("permutations", int, 100, help="Shuffles for the random baseline.", range=PERMUTATIONS),
             Param("threads", int, 1, help="Worker processes.", range=Range(1, INT64_MAX)),

@@ -50,9 +50,6 @@ class Rule:
             raise SpecError("a rule needs at least one term")
         object.__setattr__(self, "terms", tuple(sorted(self.terms)))
 
-    def matches(self, attributes: Mapping[str, str]) -> bool:
-        return all(attributes.get(a) == v for a, v in self.terms)
-
     def __str__(self) -> str:
         return " AND ".join(f"{a}={v}" for a, v in self.terms)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING as _REQUIRED, dataclass, field, fields
 from functools import cache
-from typing import Any, Iterable, Mapping, Sequence, get_args, get_type_hints
+from typing import Any, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "EventStream",
     "PopulationDataset",
     "CovariateSet",
-    "is_missing",
     "slice_prefix",
     "align",
 ]
@@ -85,11 +84,6 @@ class SchemaError(TadError, ValueError):
 
 class FormatError(TadError, ValueError):
     """A file could not be parsed."""
-
-
-def is_missing(x) -> np.ndarray | bool:
-    """True where ``x`` is the missing-value sentinel."""
-    return np.isnan(x)
 
 
 @dataclass(frozen=True)
@@ -244,17 +238,6 @@ class TimeSeries:
     def timestamps(self) -> np.ndarray:
         return self.start + self.interval * np.arange(len(self), dtype=np.int64)
 
-    def timestamp_at(self, i: int) -> int:
-        if not -len(self) <= i < len(self):
-            raise IndexError(f"index {i} out of range for series of length {len(self)}")
-        if i < 0:
-            i += len(self)
-        return self.start + i * self.interval
-
-    @property
-    def has_missing(self) -> bool:
-        return bool(np.isnan(self.values).any())
-
     def with_values(self, values) -> "TimeSeries":
         """Same grid, different readings."""
         return TimeSeries(self.start, self.interval, values)
@@ -354,15 +337,6 @@ class EventStream:
 
     __eq__ = _equal
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "EventStream":
-        pairs = list(pairs)
-        if pairs:
-            ts, vals = zip(*pairs)
-        else:
-            ts, vals = (), ()
-        return cls(np.asarray(ts, dtype=np.int64), np.asarray(vals, dtype=np.float64))
-
 
 def _check_same_grid(series: Sequence[TimeSeries], what: str) -> None:
     first = series[0]
@@ -399,18 +373,6 @@ class PopulationDataset:
         check_schema(attributes)
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "attributes", attributes)
-
-    @property
-    def n_series(self) -> int:
-        return len(self.series)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.series[0])
-
-    @property
-    def schema(self) -> tuple[str, ...]:
-        return tuple(sorted(self.attributes[0]))
 
 
 @dataclass(frozen=True)

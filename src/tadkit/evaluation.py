@@ -74,13 +74,6 @@ class LossSpec:
             object.__setattr__(self, "fn_cost", 1.0)
             object.__setattr__(self, "fp_cost", 1.0)
 
-    def cost(self, label: int, decision: int) -> float:
-        if decision == 0 and label == 1:
-            return self.fn_cost
-        if decision == 1 and label == 0:
-            return self.fp_cost
-        return 0.0
-
 
 class FeedbackLog:
     """Append-only record of (index, true label) for flagged points only."""
@@ -102,10 +95,6 @@ class FeedbackLog:
     def entries(self) -> tuple[tuple[int, int], ...]:
         return tuple(self._entries)
 
-    def since(self, start: int) -> tuple[tuple[int, int], ...]:
-        """The entries from position ``start`` on, without copying the rest."""
-        return tuple(self._entries[start:])
-
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self._entries)
 
@@ -119,10 +108,6 @@ class DelaySummary:
 
     delays: tuple[int, ...]
     missed: int
-
-    @property
-    def mean_delay(self) -> float | None:
-        return float(np.mean(self.delays)) if self.delays else None
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,9 @@ MAX_CANDIDATE_LAG = 1000
 # count sizes an array before the first shuffle runs, so it is refused above
 # this; a million shuffles already rank a percentile to a millionth.
 PERMUTATIONS = Range(1, 10**6)
+# Generator draws ``run_period_benchmark`` scores, refused above this before
+# the first draw: a million draws already read an accuracy to a millionth.
+BENCH_SERIES = Range(1, 10**6)
 
 # ACF peaks with less prominence than this (in normalized-ACF units, so the
 # scale is [-1, 1]) are treated as noise ripple by ``detect_period_acf``.
@@ -394,12 +397,6 @@ class BenchmarkResult:
     seed: int
     results: tuple[MethodResult, ...]
 
-    def by_method(self, method: str) -> MethodResult:
-        for r in self.results:
-            if r.method == method:
-                return r
-        raise KeyError(method)
-
 
 def _bench_one(
     config: PeriodicGeneratorConfig, index: int, methods: tuple[str, ...]
@@ -445,7 +442,7 @@ def run_period_benchmark(
     by permuting the true periods across series; its accuracy is averaged
     over ``random_permutations`` shuffles and its runtime reported as 0.
     """
-    counts = {"n_series": (n_series, Range(1, INT64_MAX)), "threads": (threads, Range(1, INT64_MAX)),
+    counts = {"n_series": (n_series, BENCH_SERIES), "threads": (threads, Range(1, INT64_MAX)),
               "random_permutations": (random_permutations, PERMUTATIONS)}
     for name, (count, numbers) in counts.items():
         if (problem := refusal(name, count, int, numbers, None)) is not None:

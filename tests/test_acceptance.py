@@ -61,7 +61,7 @@ def test_c1_period_detection_accuracy_table(benchmark_1000):
         "random": (0.007, 0.02),
     }
     for method, (target, tol) in expected.items():
-        accuracy = result.by_method(method).accuracy
+        accuracy = {r.method: r for r in result.results}[method].accuracy
         assert abs(accuracy - target) <= tol, (
             f"{method}: accuracy {accuracy:.3f} outside {target}±{tol}"
         )

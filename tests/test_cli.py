@@ -1,5 +1,6 @@
 """CSV ingestion, report writing, and the `tad` command surface."""
 
+import concurrent.futures
 import csv
 import enum
 import json
@@ -56,6 +57,7 @@ from tadkit.core import (
 from tadkit.detectors import METHODS, DetectorConfig
 from tadkit.evaluation import score_and_decide
 from tadkit.thresholds import KINDS, ThresholdSpec
+from test_periodicity import recording_pool
 
 
 def _write(path, text):
@@ -1692,9 +1694,9 @@ def test_any_report_replays_from_its_own_meta_record(runner, tmp_path, task, fla
 def _declared(param, task):
     """Values for ``param`` from its declaration: the low end and one below it,
     small values inside, the high end and one past it, and a bogus choice.
-    Datagen's high ends are never drawn: even inside their bounds, its
-    ``length`` and ``n_series`` would make one example write 10,000 files
-    or ten series of a million points."""
+    Datagen's and bench-period's high ends are never drawn: even inside their
+    bounds, one example would write 10,000 files, ten series of a million
+    points, a million period draws or a million shuffles."""
     kinds = get_args(param.type) or (param.type,)
     options = [st.none()] if type(None) in kinds else []
     if param.choices:
@@ -1707,7 +1709,8 @@ def _declared(param, task):
         else:
             options.append(st.floats(base, base + 10 if numbers.hi is None else numbers.hi))
         ends = [] if numbers.lo is None else [numbers.lo, numbers.lo - 1]
-        ends += [] if numbers.hi is None else [numbers.hi + 1] + [numbers.hi] * (task != "datagen")
+        top = [numbers.hi] if task not in ("datagen", "bench-period") else []
+        ends += [] if numbers.hi is None else [numbers.hi + 1, *top]
         options += [st.sampled_from(ends)] if ends else []
     return st.one_of(options)
 
@@ -1715,7 +1718,8 @@ def _declared(param, task):
 _WRONG_TYPED = st.sampled_from(["x", True, 2.5, None, [1], float("nan")])
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
-    """Per task, the keys that name files: small valid inputs each run reads."""
+    """Per task, the keys that name files, and bench-period's size and methods:
+    small valid inputs each run reads."""
     root = tmp_path_factory.mktemp("drawn")
     series = {"input": str(_make_input(root))}
     rows = "".join(f"{60 * i},{math.sin(i / 5)!r},{i % 7}\n" for i in range(80))
@@ -1730,6 +1734,7 @@ def valid_inputs(tmp_path_factory):
         "hil": series,
         "datagen": {},
         "resample": series,
+        "bench-period": {"n_series": 3, "methods": "peaks"},
         "conditional": {"input": covariates},
         "cohort": {"matrix": str(matrix), "attributes": str(attributes)},
     }
@@ -1742,17 +1747,23 @@ def drawn_files(valid_inputs):
     drawn = {task: {**common, **{key: st.just(path) for key, path in files.items()}}
              for task, files in valid_inputs.items()}
     drawn["conditional"]["target"] = st.sampled_from([None, "a", "b", "x"])
+    drawn["bench-period"]["n_series"] = _declared(TASK_PARAMS["bench-period"]["n_series"], "bench-period")
+    drawn["bench-period"]["methods"] = st.sampled_from(["peaks", "fft,acf", "random", ",", "bogus"])
     return drawn
 
 
-@pytest.mark.parametrize("task", ["detect", "evaluate", "hil", "datagen", "resample", "conditional", "cohort"])
+@pytest.mark.parametrize(
+    "task", ["detect", "evaluate", "hil", "datagen", "resample", "bench-period", "conditional", "cohort"]
+)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_any_config_document_runs_or_gives_one_json_error(drawn_files, task, data):
     keys, files = TASK_PARAMS[task], drawn_files[task]
     assert all(key in files or param.range or param.choices for key, param in keys.items())
     right = {key: files[key] if key in files else _declared(param, task) for key, param in keys.items()}
-    required = [key for key, param in keys.items() if param.default is MISSING]
+    # bench-period's defaults run every method, autoperiod's about 30 ms a draw, on 1,000 draws
+    required = [key for key, param in keys.items()
+                if param.default is MISSING or task == "bench-period" and key in ("n_series", "methods")]
     doc = data.draw(
         st.fixed_dictionaries(
             {key: right[key] for key in required},
@@ -1762,7 +1773,8 @@ def test_any_config_document_runs_or_gives_one_json_error(drawn_files, task, dat
     wrong = data.draw(st.none() | st.sampled_from(sorted(keys)))
     if wrong is not None:
         doc[wrong] = data.draw(_WRONG_TYPED)
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool([]))
         config = Path(scratch) / "cfg.json"
         config.write_text(json.dumps(doc))
         result = CliRunner().invoke(
@@ -1776,7 +1788,7 @@ def test_any_config_document_runs_or_gives_one_json_error(drawn_files, task, dat
 
 _INT64_MAX_KEYS = [
     (task, key, method)
-    for task in ("detect", "evaluate", "hil", "datagen", "resample", "conditional", "cohort")
+    for task in ("detect", "evaluate", "hil", "datagen", "resample", "bench-period", "conditional", "cohort")
     for key, param in TASK_PARAMS[task].items()
     if param.range is not None and param.range.hi == INT64_MAX and int in (get_args(param.type) or (param.type,))
     # a detector's size only allocates under the method that reads it
@@ -1787,8 +1799,11 @@ _INT64_MAX_KEYS = [
 @pytest.mark.parametrize(
     "task, key, method", _INT64_MAX_KEYS, ids=["-".join(filter(None, case)) for case in _INT64_MAX_KEYS]
 )
-def test_int64_maximum_alone_runs_or_gives_one_json_error(runner, valid_inputs, tmp_path, task, key, method):
+def test_int64_maximum_alone_runs_or_gives_one_json_error(
+    runner, valid_inputs, tmp_path, monkeypatch, task, key, method
+):
     # the fuzz above draws this end only now and then; here every such key gets it once
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool([]))
     doc = {**valid_inputs[task], key: INT64_MAX, **({"method": method} if method else {})}
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(doc))

@@ -20,8 +20,8 @@ from tadkit.core import (
     TimeSeries,
     align,
     as_label_array,
+    check_schema,
     field_specs,
-    is_missing,
     slice_prefix,
 )
 from tadkit.detectors import DetectorConfig
@@ -36,10 +36,10 @@ def test_time_series_basics():
     assert len(ts) == 3
     assert ts.end == 100 + 3 * 60
     assert ts.timestamps().tolist() == [100, 160, 220]
-    assert ts.timestamp_at(0) == 100
-    assert ts.timestamp_at(-1) == 220
+    assert ts.timestamps()[0] == 100
+    assert ts.timestamps()[-1] == 220
     with pytest.raises(IndexError):
-        ts.timestamp_at(3)
+        ts.timestamps()[3]
 
 
 def test_time_series_rejects_bad_interval():
@@ -72,9 +72,9 @@ def test_time_series_values_are_read_only():
 
 def test_time_series_missing_sentinel():
     ts = TimeSeries(0, 1, np.array([1.0, MISSING, 3.0]))
-    assert ts.has_missing
-    assert is_missing(ts.values[1])
-    assert not is_missing(ts.values[0])
+    assert bool(np.isnan(ts.values).any())
+    assert np.isnan(ts.values[1])
+    assert not np.isnan(ts.values[0])
 
 
 def test_time_series_rejects_inf():
@@ -229,18 +229,18 @@ def test_event_stream_rejects_nan_values():
         EventStream(np.array([0, 1]), np.array([1.0, np.nan]))
 
 
-def test_event_stream_from_pairs_round_trip():
-    ev = EventStream.from_pairs([(0, 1.5), (10, -2.0)])
+def test_event_stream_iterates_as_pairs():
+    ev = EventStream(np.array([0, 10], np.int64), np.array([1.5, -2.0]))
     assert list(ev) == [(0, 1.5), (10, -2.0)]
-    assert EventStream.from_pairs([]) == EventStream(np.array([], int), np.array([]))
+    assert list(EventStream(np.array([], np.int64), np.array([]))) == []
 
 
 def test_population_requires_shared_grid_and_schema():
     a = TimeSeries(0, 60, np.zeros(5))
     b = TimeSeries(0, 60, np.zeros(5))
     pop = PopulationDataset((a, b), ({"region": "x"}, {"region": "y"}))
-    assert pop.n_series == 2 and pop.n_points == 5
-    assert pop.schema == ("region",)
+    assert len(pop.series) == 2 and len(pop.series[0]) == 5
+    assert check_schema(pop.attributes) == ("region",)
     with pytest.raises(AlignmentError):
         PopulationDataset((a, TimeSeries(60, 60, np.zeros(5))), ({}, {}))
     with pytest.raises(SchemaError):

@@ -216,7 +216,7 @@ def test_benchmark_structure_and_determinism():
     for row in result.results:
         assert 0.0 <= row.accuracy <= 1.0
         assert row.accuracy <= row.accuracy_within_1
-    assert result.by_method("random").accuracy < 0.1
+    assert {r.method: r for r in result.results}["random"].accuracy < 0.1
     again = run_period_benchmark(40, config=config)
     assert [(r.method, r.accuracy) for r in again.results] == [
         (r.method, r.accuracy) for r in result.results
@@ -232,15 +232,9 @@ def test_benchmark_thread_count_does_not_change_numbers():
     ]
 
 
-@pytest.mark.parametrize(
-    "threads, n_series, cpus, workers",
-    [(10**9, 3, 8, 3), (10**9, 12, 2, 2), (4, 12, 8, 4), (8, 1, 8, None), (8, 12, None, None)],
-)
-def test_benchmark_starts_at_most_one_worker_per_series_and_cpu(
-    monkeypatch, threads, n_series, cpus, workers
-):
-    # a stand-in pool records its size and maps in this process, so no worker is started
-    made = []
+def recording_pool(made):
+    """A stand-in for ``ProcessPoolExecutor`` that appends each pool's size to ``made``
+    and maps in this process, so no worker is started."""
 
     class Pool:
         def __init__(self, max_workers):
@@ -255,9 +249,20 @@ def test_benchmark_starts_at_most_one_worker_per_series_and_cpu(
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
+    return Pool
+
+
+@pytest.mark.parametrize(
+    "threads, n_series, cpus, workers",
+    [(10**9, 3, 8, 3), (10**9, 12, 2, 2), (4, 12, 8, 4), (8, 1, 8, None), (8, 12, None, None)],
+)
+def test_benchmark_starts_at_most_one_worker_per_series_and_cpu(
+    monkeypatch, threads, n_series, cpus, workers
+):
+    made = []
     config = PeriodicGeneratorConfig(seed=6)
     serial = run_period_benchmark(n_series, config=config, methods=("fft", "random"))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(made))
     monkeypatch.setattr(periodicity.os, "cpu_count", lambda: cpus)
     capped = run_period_benchmark(n_series, config=config, methods=("fft", "random"), threads=threads)
     assert made == ([] if workers is None else [workers])

@@ -155,7 +155,9 @@ event_streams = st.lists(
     st.tuples(st.integers(min_value=-500, max_value=500),
               st.floats(min_value=-100, max_value=100, allow_nan=False)),
     min_size=0, max_size=40,
-).map(lambda pairs: EventStream.from_pairs(sorted(pairs, key=lambda p: p[0])))
+).map(lambda pairs: sorted(pairs, key=lambda p: p[0])).map(
+    lambda pairs: EventStream(np.array([t for t, _ in pairs], np.int64), np.array([v for _, v in pairs]))
+)
 
 specs = st.builds(
     ResampleSpec,
