@@ -46,4 +46,3 @@ def test_every_catalogued_mutant_applies_once_to_this_source(mutants):
     for mutant in mutants.CATALOGUE:
         assert (ROOT / mutant.path).read_text().count(mutant.old) == 1, mutant.name
         assert all((ROOT / test).is_file() for test in mutant.tests), mutant.name
-    assert len({mutant.name for mutant in mutants.CATALOGUE}) == len(mutants.CATALOGUE)

@@ -101,15 +101,15 @@ def run_mutant(mutant: Mutant, copy: Path) -> str:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    verdicts = {}
+    killed = 0
     with tempfile.TemporaryDirectory(prefix="tadkit-mutants-") as tmp:
         copy = export(args.commit, Path(tmp) / "copy")
         for mutant in CATALOGUE:
             start = time.perf_counter()
-            verdicts[mutant.name] = run_mutant(mutant, copy)
-            print(f"{mutant.name}: {verdicts[mutant.name]} ({mutant.contract}; "
+            verdict = run_mutant(mutant, copy)
+            killed += verdict == "killed"
+            print(f"{mutant.name}: {verdict} ({mutant.contract}; "
                   f"{', '.join(mutant.tests)}, {time.perf_counter() - start:.1f} s)", flush=True)
-    killed = sum(verdict == "killed" for verdict in verdicts.values())
     print(f"{killed} of {len(CATALOGUE)} mutants killed")
     return 0 if killed == len(CATALOGUE) else 1
 
